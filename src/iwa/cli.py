@@ -9,12 +9,12 @@ input or arguments, 70 internal error.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 from .cyclotomic import CharacterSpec, eval_char
 from .errors import (
+    InvalidParameter,
     IwaError,
     MalformedInput,
     NotDecomposable,
@@ -30,6 +30,7 @@ from .halflogs import (
     predicted_locus,
     vanishing_locus,
 )
+from .padic import check_odd_prime
 from .plusminus import AdmissiblePair, check_admissible, compose, decompose, pm_from_json
 from .qpn import (
     dim_minus_formula,
@@ -63,9 +64,10 @@ class RunConfig:
     out: str | None = None
 
     def validate(self) -> None:
-        p = self.p
-        if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, int(p**0.5) + 1, 2)):
-            raise MalformedInput(f"p must be an odd prime, got {p}")
+        try:
+            check_odd_prime(self.p)
+        except InvalidParameter as exc:
+            raise MalformedInput(str(exc)) from exc
         if self.k < 2:
             raise MalformedInput(f"k must be at least 2, got {self.k}")
         if self.n < 1:
@@ -89,19 +91,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _threads() -> int:
-    raw = os.environ.get("IWA_THREADS")
-    if raw is None:
-        return 1
-    try:
-        t = int(raw)
-    except ValueError:
-        raise MalformedInput(f"IWA_THREADS must be a positive integer, got {raw!r}")
-    if t < 1:
-        raise MalformedInput(f"IWA_THREADS must be a positive integer, got {raw!r}")
-    return t
 
 
 def _read_json(path: str | None) -> dict:
@@ -276,7 +265,6 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _threads()
         sign = {"plus": PLUS, "minus": MINUS}.get(
             getattr(args, "sign", "plus"), getattr(args, "sign", PLUS)
         )

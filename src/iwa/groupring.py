@@ -36,6 +36,162 @@ BASE = "base"
 QUAD = "quad"
 
 
+# -- the convolution kernel ---------------------------------------------------
+#
+# Every grid product (element products, the CRT projector correction and
+# reconstruction) is one exact cyclic convolution over Z/R x Z/C of
+# non-negative integer grids, R = p-1 and C = p^(n-1), done by Kronecker
+# substitution: each grid is packed into one integer with a slot per
+# coefficient, the two integers are multiplied once, and the product is
+# folded back along both cyclic directions.  Precision follows
+# PadicScalar.__mul__ pair by pair: the coefficient at k is known modulo
+# p^cap with cap = min(A1 + v2, v1 + A2) over the nonzero pairs meeting at
+# k, A = v + N.  Valuations and absolute caps take few distinct values in a
+# grid, so that minimum is found class by class with 0/1 products.
+
+
+def _pack(vals, R, C, width):
+    """One integer with `width` bytes per slot; rows strided 2C slots."""
+    pad = bytes(C * width)
+    return int.from_bytes(
+        b"".join(
+            b"".join(x.to_bytes(width, "little") for x in vals[a * C:(a + 1) * C]) + pad
+            for a in range(R)
+        ),
+        "little",
+    )
+
+
+def _unpack(prod, R, C, width):
+    """Fold a product of two packed grids mod (R, C) and read its R*C slots.
+
+    Slots hold non-negative sums below 2^(8 width), so the folds never carry.
+    """
+    row_bits = 16 * R * C * width
+    prod = (prod & ((1 << row_bits) - 1)) + (prod >> row_bits)
+    low = int.from_bytes((b"\xff" * (C * width) + bytes(C * width)) * R, "little")
+    prod = (prod & low) + ((prod >> (8 * C * width)) & low)
+    buf = prod.to_bytes(2 * R * C * width, "little")
+    return [
+        int.from_bytes(buf[o:o + width], "little")
+        for a in range(R)
+        for o in range(2 * a * C * width, (2 * a + 1) * C * width, width)
+    ]
+
+
+@dataclass
+class _Leg:
+    """A flat scalar grid as integers p^(v - e) u over a common valuation e.
+
+    `by_v` and `by_abs` map each valuation and each absolute cap v + N of
+    the nonzero coefficients to its packed 0/1 indicator grid.
+    """
+
+    e: int
+    ints: list
+    by_v: dict
+    by_abs: dict
+
+
+def _indicator_width(R, C):
+    return (2 + (R * C).bit_length() + 7) // 8
+
+
+def _leg(flat, R, C):
+    """The _Leg of a flat grid of PadicScalars; None when all are zero."""
+    nonzero = [i for i, c in enumerate(flat) if c.u]
+    if not nonzero:
+        return None
+    p = flat[nonzero[0]].p
+    e = min(flat[i].v for i in nonzero)
+    ints = [0] * len(flat)
+    by_v, by_abs = {}, {}
+    for i in nonzero:
+        c = flat[i]
+        ints[i] = c.u * p ** (c.v - e)
+        by_v.setdefault(c.v, []).append(i)
+        by_abs.setdefault(c.v + c.N, []).append(i)
+    w = _indicator_width(R, C)
+
+    def packed(classes):
+        out = {}
+        for key, where in classes.items():
+            ind = [0] * len(flat)
+            for i in where:
+                ind[i] = 1
+            out[key] = _pack(ind, R, C, w)
+        return out
+
+    return _Leg(e, ints, packed(by_v), packed(by_abs))
+
+
+def _convolve(f, g, R, C):
+    """Cyclic product of two legs: (e, sums, caps), or None if one is zero.
+
+    The product coefficient at k is sums[k] * p^e, exact up to the digits
+    the factors do not know; caps[k] is its absolute precision, None where
+    no nonzero pair meets.
+    """
+    if f is None or g is None:
+        return None
+    width = (
+        max(f.ints).bit_length() + max(g.ints).bit_length() + (R * C).bit_length() + 7
+    ) // 8
+    sums = _unpack(_pack(f.ints, R, C, width) * _pack(g.ints, R, C, width), R, C, width)
+    # candidate class sums A1 + v2 and v1 + A2, smallest first; a position
+    # takes the first sum whose class pair meets there
+    cands = sorted(
+        {
+            (a + v, x, y)
+            for one, other in ((f.by_abs, g.by_v), (g.by_abs, f.by_v))
+            for a, x in one.items()
+            for v, y in other.items()
+        }
+    )
+    caps = [None] * (R * C)
+    left = sum(1 for s in sums if s)
+    w = _indicator_width(R, C)
+    for total, x, y in cands:
+        for k, hit in enumerate(_unpack(x * y, R, C, w)):
+            if hit and caps[k] is None:
+                caps[k] = total
+                left -= 1
+        if not left:
+            break
+    return f.e + g.e, sums, caps
+
+
+def _scalars(p, parts, zero, size):
+    """Flat PadicScalars of a sum of convolutions; `zero` where none survives."""
+    parts = [x for x in parts if x is not None]
+    if not parts:
+        return [zero] * size
+    e = min(x[0] for x in parts)
+    sums, caps = [0] * size, [None] * size
+    for pe, psums, pcaps in parts:
+        scale = p ** (pe - e)
+        sums = [s + t * scale for s, t in zip(sums, psums)]
+        caps = [
+            c if d is None else d if c is None else min(c, d)
+            for c, d in zip(caps, pcaps)
+        ]
+    out = []
+    for s, cap in zip(sums, caps):
+        if cap is None:
+            out.append(zero)
+            continue
+        t = s % p ** (cap - e)
+        if not t:
+            out.append(zero)
+            continue
+        v = 0
+        while t % p == 0:
+            t //= p
+            v += 1
+        out.append(PadicScalar(p, e + v, t, cap - e - v))
+    return out
+
+
 class GroupRingElem:
     """Immutable element of the level-n group algebra."""
 
@@ -137,7 +293,7 @@ class GroupRingElem:
     def _check(self, other):
         if (self.p, self.n, self.kind) != (other.p, other.n, other.kind):
             raise ShapeMismatch("operands live in different group rings")
-        if self.kind == QUAD and not self.s == other.s:
+        if self.kind == QUAD and not (self.s is other.s or self.s == other.s):
             raise ShapeMismatch("mixed quadratic extensions")
 
     def nnz(self) -> int:
@@ -162,24 +318,29 @@ class GroupRingElem:
 
     def __mul__(self, other):
         self._check(other)
-        f, g = (self, other) if self.nnz() <= other.nnz() else (other, self)
-        p, cols = self.p, self.cols
-        Nout = min(self.N, other.N)
-        acc = [[self._zero_scalar(Nout)] * cols for _ in range(p - 1)]
-        for a1, row1 in enumerate(f.coeffs):
-            for r1, c1 in enumerate(row1):
-                if c1.is_zero():
-                    continue
-                for a2, row2 in enumerate(g.coeffs):
-                    target = acc[(a1 + a2) % (p - 1)]
-                    for r2, c2 in enumerate(row2):
-                        if c2.is_zero():
-                            continue
-                        r = r1 + r2
-                        if r >= cols:
-                            r -= cols
-                        target[r] = target[r] + c1 * c2
-        return self._replace_grid(acc)
+        p, R, C = self.p, self.rows, self.cols
+        zero = PadicScalar.zero(p, min(self.N, other.N))
+        f = [c for row in self.coeffs for c in row]
+        g = [c for row in other.coeffs for c in row]
+        if self.kind == BASE:
+            prod = _convolve(_leg(f, R, C), _leg(g, R, C), R, C)
+            flat = _scalars(p, [prod], zero, R * C)
+        else:
+            # (A + alpha B)(C + alpha D) = (AC + s BD) + alpha (AD + BC)
+            s = self.s
+            fa, fb = _leg([c.a for c in f], R, C), _leg([c.b for c in f], R, C)
+            ga, gb = _leg([c.a for c in g], R, C), _leg([c.b for c in g], R, C)
+            fsb = None
+            if fb is not None and gb is not None:
+                fsb = _leg([s * c.b for c in f], R, C)
+            a = _scalars(
+                p, [_convolve(fa, ga, R, C), _convolve(fsb, gb, R, C)], zero, R * C
+            )
+            b = _scalars(
+                p, [_convolve(fa, gb, R, C), _convolve(fb, ga, R, C)], zero, R * C
+            )
+            flat = [QuadExtScalar(x, y, s) for x, y in zip(a, b)]
+        return self._replace_grid([flat[i:i + C] for i in range(0, R * C, C)])
 
     def scale(self, x):
         """Coefficient-wise multiplication by a scalar."""
@@ -200,7 +361,7 @@ class GroupRingElem:
 
     def to_quad(self, s: PadicScalar) -> "GroupRingElem":
         if self.kind == QUAD:
-            if not self.s == s:
+            if not (self.s is s or self.s == s):
                 raise ShapeMismatch("element already lives in another extension")
             return self
         grid = [[QuadExtScalar.lift(c, s) for c in row] for row in self.coeffs]
@@ -271,7 +432,7 @@ class GroupRingElem:
             s = grid[0][0].s if grid and grid[0] else None
             for row in grid:
                 for c in row:
-                    if not c.s == s:
+                    if not (c.s is s or c.s == s):
                         raise MalformedInput("inconsistent alpha^2 across grid")
             elem_s = s
         else:
@@ -503,6 +664,9 @@ class CrtContext:
             self.idem.append(tuple(poly))
             vals = [c.v for c in poly if not c.is_zero()]
             self.idem_den_exp.append(max(0, -min(vals)) if vals else 0)
+        # each e_m as a grid on the trivial torsion row, ready for the kernel
+        pad = [PadicScalar.zero(p, N)] * ((p - 2) * cols)
+        self.idem_legs = [_leg(list(e) + pad, p - 1, cols) for e in self.idem]
 
     # -- operations ----------------------------------------------------------
 
@@ -521,31 +685,37 @@ class CrtContext:
             comps.append(rows)
         return comps
 
+    def _times_idem(self, terms, kind, s, N):
+        """Grid of sum_m (slot rows of m) * e_m, zero coefficients at N.
+
+        `terms` pairs m with p-1 coefficient rows (one per torsion index) of
+        length at most p^(n-1); quadratic rows split into their legs.
+        """
+        p, R, C = self.p, self.p - 1, self.p ** (self.n - 1)
+        zero = PadicScalar.zero(p, N)
+
+        def leg(rows, part):
+            flat = []
+            for row in rows:
+                flat.extend(row if part is None else [getattr(c, part) for c in row])
+                flat.extend([zero] * (C - len(row)))
+            return _leg(flat, R, C)
+
+        legs = []
+        for part in (None,) if kind == BASE else ("a", "b"):
+            convs = [
+                _convolve(leg(rows, part), self.idem_legs[m], R, C) for m, rows in terms
+            ]
+            legs.append(_scalars(p, convs, zero, R * C))
+        flat = legs[0] if kind == BASE else [
+            QuadExtScalar(a, b, s) for a, b in zip(*legs)
+        ]
+        return [flat[i:i + C] for i in range(0, R * C, C)]
+
     def reconstruct(self, comps, kind=BASE, s=None) -> GroupRingElem:
-        p, n, cols = self.p, self.n, self.p ** (self.n - 1)
-        zero = (
-            QuadExtScalar.zero(p, self.N, s)
-            if kind == QUAD
-            else PadicScalar.zero(p, self.N)
-        )
-        grid = []
-        for a in range(p - 1):
-            acc = [zero] * cols
-            for m in range(n):
-                slot = comps[m][a]
-                epoly = self.idem[m]
-                for i, sc in enumerate(slot.coeffs):
-                    if sc.is_zero():
-                        continue
-                    for k, ec in enumerate(epoly):
-                        if ec.is_zero():
-                            continue
-                        pos = i + k
-                        if pos >= cols:
-                            pos -= cols
-                        acc[pos] = acc[pos] + sc * ec
-            grid.append(acc)
-        return GroupRingElem(p, n, grid, kind, s)
+        terms = [(m, [slot.coeffs for slot in comps[m]]) for m in range(self.n)]
+        grid = self._times_idem(terms, kind, s, self.N)
+        return GroupRingElem(self.p, self.n, grid, kind, s)
 
     def divide_exact(self, f: GroupRingElem, m: int) -> GroupRingElem:
         """Canonical quotient by phi(m): slot m of the result is zero.
@@ -563,8 +733,7 @@ class CrtContext:
         p, cols = self.p, self.p ** (self.n - 1)
         block = p ** (m - 1)
         degphi = (p - 1) * block
-        epoly = self.idem[m]
-        grid = []
+        quots, slots = [], []
         for row in f.coeffs:
             work = list(row)
             quot = [f._zero_scalar()] * cols
@@ -579,18 +748,10 @@ class CrtContext:
             slot = CyclotomicScalar.from_exponent_terms(
                 p, m, [(r, c) for r, c in enumerate(quot)], f._zero_scalar()
             )
-            corr = [f._zero_scalar()] * cols
-            for i, sc in enumerate(slot.coeffs):
-                if sc.is_zero():
-                    continue
-                for j, ec in enumerate(epoly):
-                    if ec.is_zero():
-                        continue
-                    pos = i + j
-                    if pos >= cols:
-                        pos -= cols
-                    corr[pos] = corr[pos] + sc * ec
-            grid.append([q - c for q, c in zip(quot, corr)])
+            quots.append(quot)
+            slots.append(slot.coeffs)
+        corr = self._times_idem([(m, slots)], f.kind, f.s, f.N)
+        grid = [[q - c for q, c in zip(qr, cr)] for qr, cr in zip(quots, corr)]
         return GroupRingElem(self.p, self.n, grid, f.kind, f.s)
 
     def invert_unit(self, f: GroupRingElem) -> GroupRingElem:

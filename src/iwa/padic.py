@@ -362,7 +362,7 @@ class QuadExtScalar:
 
     def _coerce(self, other):
         if isinstance(other, QuadExtScalar):
-            if not self.s == other.s:
+            if not (self.s is other.s or self.s == other.s):
                 raise ShapeMismatch("mixed quadratic extensions")
             return other
         if isinstance(other, int):

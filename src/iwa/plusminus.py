@@ -27,6 +27,7 @@ from .cyclotomic import CharacterSpec, eval_char
 from .errors import (
     InvalidParameter,
     NotDecomposable,
+    PrecisionExhausted,
     ShapeMismatch,
     UnboundedResult,
 )
@@ -42,6 +43,7 @@ from .halflogs import (
     MINUS,
     PLUS,
     HalfLogParams,
+    denominator_exponent,
     factor_indices,
     log_trunc,
     omega_tilde,
@@ -78,7 +80,8 @@ class AdmissiblePair:
             raise ShapeMismatch("pair members must live over Q_p(alpha)")
         if (L1.p, L1.n) != (L2.p, L2.n) or L1.p != params.p:
             raise ShapeMismatch("pair members disagree on (p, n)")
-        if not (L1.s == alpha.s and L2.s == alpha.s):
+        s = alpha.s
+        if not ((L1.s is s or L1.s == s) and (L2.s is s or L2.s == s)):
             raise ShapeMismatch("pair members live in a different extension")
         if half_val_fraction(alpha) != Fraction(params.k - 1, 2):
             raise InvalidParameter("alpha valuation must be (k-1)/2")
@@ -242,9 +245,10 @@ def _extract(numerator, params, sign, floor):
 def decompose(pair: AdmissiblePair, floor: int = 0) -> PMDecomposition:
     """Split an admissible pair; quotients carry canonical zeroed slots.
 
-    Raises NotDecomposable when a phi-factor divisibility fails and
+    Raises NotDecomposable when a phi-factor divisibility fails,
     UnboundedResult when a component breaks the valuation floor beyond the
-    zeroed slots' projector denominators.
+    zeroed slots' projector denominators, and PrecisionExhausted when the
+    components keep too few digits for compose to rebuild the pair.
     """
     params = pair.params
     p, N = params.p, min(pair.L1.N, pair.L2.N)
@@ -253,6 +257,15 @@ def decompose(pair: AdmissiblePair, floor: int = 0) -> PMDecomposition:
     D = (pair.L1 - pair.L2).scale(half).scale(pair.alpha.inv())
     Lplus, plus_slots = _extract(S, params, PLUS, floor)
     Lminus, minus_slots = _extract(D, params, MINUS, floor)
+    # compose rebuilds the pair through both half-logs, whose denominators
+    # need more digits than this; components with fewer cannot round-trip
+    have = min(Lplus.N, Lminus.N)
+    need = max(denominator_exponent(_signed(params, s)) for s in (PLUS, MINUS))
+    if have <= need:
+        raise PrecisionExhausted(
+            f"components keep {have} digits; composing them back needs more "
+            f"than {need}"
+        )
     return PMDecomposition(Lplus, Lminus, plus_slots, minus_slots, params, pair.alpha)
 
 

@@ -5,6 +5,9 @@ the `iwa verify` command runs), asserts its stated tolerance, and checks
 the advertised runtime budget where one exists.
 """
 
+import hashlib
+import json
+import pathlib
 import time
 
 import pytest
@@ -184,3 +187,22 @@ def test_12_gauss_sum_norms(reports, criterion_line):
         "conductor up to p^3, p in {3,5}",
         c["passed"] and c["total"] == 116,
     )
+
+
+def test_suite_reports_byte_identical_to_golden(reports):
+    """Every suite report still hashes to its recorded output.
+
+    The golden file holds the SHA-256 of what `iwa verify --suite <name>
+    --seed 715517` prints; regenerate it only for a deliberate change to a
+    report, recorded in CHANGES.md.
+    """
+    golden = json.loads(
+        (pathlib.Path(__file__).parent / "golden" / "verify_715517.json").read_text()
+    )
+    got = {}
+    for name, rep in reports.items():
+        text = json.dumps(
+            {k: v for k, v in rep.items() if k != "elapsed"}, sort_keys=True, indent=2
+        )
+        got[name] = hashlib.sha256((text + "\n").encode()).hexdigest()
+    assert got == golden

@@ -129,7 +129,7 @@ def test_verify_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_usage_errors_exit_64(tmp_path, capsys, monkeypatch):
+def test_usage_errors_exit_64(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert main(["decompose", "--in", str(bad)]) == 64
@@ -138,13 +138,8 @@ def test_usage_errors_exit_64(tmp_path, capsys, monkeypatch):
     assert main(["divide", "--in", str(bad)]) == 64  # missing --m
     assert main(["halflog", "--p", "4", "--k", "2", "--n", "2"]) == 64
     assert main(["halflog", "--p", "3", "--k", "1", "--n", "2"]) == 64
-
-    monkeypatch.setenv("IWA_THREADS", "soon")
-    assert main(["verify", "--suite", "padic"]) == 64
-    monkeypatch.setenv("IWA_THREADS", "0")
-    assert main(["verify", "--suite", "padic"]) == 64
-    monkeypatch.setenv("IWA_THREADS", "4")
-    assert main(["verify", "--suite", "padic"]) == 0
+    for p in ("1", "2", "9", "15"):
+        assert main(["halflog", "--p", p, "--k", "2", "--n", "2"]) == 64
 
 
 def test_low_precision_input_rejected_before_slot_arithmetic(tmp_path):

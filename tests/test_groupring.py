@@ -1,5 +1,7 @@
 """Group algebra: convolution, twists, folding, CRT splitting."""
 
+import random
+
 import pytest
 
 from iwa.cyclotomic import CharacterSpec, eval_char
@@ -75,6 +77,102 @@ def test_mul_matches_integer_convolution():
                         )
         got = from_int_grid(p, n, ga) * from_int_grid(p, n, gb)
         assert int_grid(got) == want
+
+
+def _mixed_scalar(rng, p):
+    """A scalar with a random valuation (negatives too) and precision, or zero."""
+    N = rng.randrange(1, 41)
+    if rng.randrange(5) == 0:
+        return PadicScalar.zero(p, N)
+    u = rng.randrange(1, p**N)
+    while u % p == 0:
+        u = rng.randrange(1, p**N)
+    return PadicScalar(p, rng.randrange(-3, 6), u, N)
+
+
+_OFF = 40
+
+
+def _oracle_sums(pairs, p, R, C):
+    """Brute-force cyclic product of flat scalar grids, summed over pairs.
+
+    Returns per position (exact value times p^OFF, pairwise minimum of
+    min(A1 + v2, v1 + A2) with A = v + N, or None when no nonzero pair meets).
+    """
+    out = [(0, None)] * (R * C)
+    for f, g in pairs:
+        for i, x in enumerate(f):
+            if x.is_zero():
+                continue
+            a1, r1 = divmod(i, C)
+            for j, y in enumerate(g):
+                if y.is_zero():
+                    continue
+                a2, r2 = divmod(j, C)
+                k = (a1 + a2) % R * C + (r1 + r2) % C
+                tot, cap = out[k]
+                pair_cap = min(x.v + x.N + y.v, x.v + y.v + y.N)
+                out[k] = (
+                    tot + x.u * y.u * p ** (x.v + y.v + _OFF),
+                    pair_cap if cap is None else min(cap, pair_cap),
+                )
+    return out
+
+
+def _assert_matches_oracle(got, want, p):
+    for c, (tot, cap) in zip(got, want):
+        if cap is None:
+            assert c.is_zero()
+            continue
+        val = 0 if c.is_zero() else c.u * p ** (c.v + _OFF)
+        assert (val - tot) % p ** (cap + _OFF) == 0
+        assert c.is_zero() or c.v + c.N == cap
+
+
+def _check_product_against_oracle(f, g):
+    p, R, C = f.p, f.rows, f.cols
+    prod = f * g
+    assert prod.identical(g * f)
+    flat_f = [c for row in f.coeffs for c in row]
+    flat_g = [c for row in g.coeffs for c in row]
+    got = [c for row in prod.coeffs for c in row]
+    if f.kind == BASE:
+        _assert_matches_oracle(got, _oracle_sums([(flat_f, flat_g)], p, R, C), p)
+        return
+    fa, fb = [c.a for c in flat_f], [c.b for c in flat_f]
+    ga, gb = [c.a for c in flat_g], [c.b for c in flat_g]
+    fsb = [f.s * b for b in fb]  # the alpha^2 BD term pairs s*b with d
+    want_a = _oracle_sums([(fa, ga), (fsb, gb)], p, R, C)
+    want_b = _oracle_sums([(fa, gb), (fb, ga)], p, R, C)
+    _assert_matches_oracle([c.a for c in got], want_a, p)
+    _assert_matches_oracle([c.b for c in got], want_b, p)
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (3, 5), (5, 3), (7, 3)])
+@pytest.mark.parametrize("kind", ["base", "quad"])
+def test_mul_kernel_matches_brute_force_with_pairwise_caps(p, n, kind):
+    rng = random.Random(f"{p}/{n}/{kind}")
+    R, C = p - 1, p ** (n - 1)
+
+    def grid():
+        return [[_mixed_scalar(rng, p) for _ in range(C)] for _ in range(R)]
+
+    if kind == BASE:
+        f, g = GroupRingElem(p, n, grid()), GroupRingElem(p, n, grid())
+        _check_product_against_oracle(f, g)
+        return
+    s = PadicScalar(p, 1, p**30 - 1, 30)  # alpha^2 = -p to 30 digits
+
+    def quad():
+        return GroupRingElem(
+            p, n, [[QuadExtScalar(a, b, s) for a, b in zip(r1, r2)]
+                   for r1, r2 in zip(grid(), grid())], "quad", s,
+        )
+
+    f = quad()
+    _check_product_against_oracle(f, quad())
+    # a lift has an all-zero alpha leg, which the product skips
+    _check_product_against_oracle(f, GroupRingElem(p, n, grid()).to_quad(s))
 
 
 def test_one_plus_gamma_squared():

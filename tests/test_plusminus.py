@@ -7,6 +7,7 @@ import pytest
 from iwa.errors import (
     InvalidParameter,
     NotDecomposable,
+    PrecisionExhausted,
     ShapeMismatch,
     UnboundedResult,
 )
@@ -141,6 +142,19 @@ def test_roundtrip_grid():
             back = compose(dec.Lplus, dec.Lminus, params, alpha)
             assert back.L1 == pair.L1
             assert back.L2 == pair.L2
+
+
+def test_decompose_refuses_components_too_thin_to_recompose():
+    # weight 10 at level 3: the half-log denominators need 18 digits and the
+    # quotient chain leaves 15 of the 40 put in
+    p, n, k, N = 3, 3, 10, 40
+    rng = SplitMix64(5)
+    alpha = make_alpha(p, k, 1, N)
+    params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
+    A = random_element(p, n, N, rng).to_quad(alpha.s)
+    B = random_element(p, n, N, rng).to_quad(alpha.s)
+    with pytest.raises(PrecisionExhausted, match="needs more than 18"):
+        decompose(compose(A, B, params, alpha))
 
 
 def test_plus_component_stays_in_base_field():
