@@ -24,7 +24,7 @@ from .halflogs import (
     predicted_locus,
     vanishing_locus,
 )
-from .padic import PadicScalar, PrecisionPolicy, QuadExtScalar, teichmuller
+from .padic import PadicScalar, QuadExtScalar, teichmuller
 from .plusminus import (
     AdmissiblePair,
     PMDecomposition,
@@ -54,7 +54,6 @@ __all__ = [
     "PLUS",
     "PMDecomposition",
     "PadicScalar",
-    "PrecisionPolicy",
     "QuadExtScalar",
     "check_admissible",
     "compose",

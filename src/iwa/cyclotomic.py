@@ -342,7 +342,8 @@ def eval_char(f, chi: CharacterSpec) -> CyclotomicScalar:
 
     Sum of c_{r',a} * omega(g)^(a(d+r)) * u^(r r') * zeta_{p^m}^(e r') over
     the coefficient grid, with u = 1 + p and g the fixed generator of the
-    torsion part.  Ring homomorphism in f for each fixed chi.
+    torsion part.  Ring homomorphism in f for each fixed chi.  A quadratic
+    element is evaluated leg by leg, and its value pairs the legs' values.
     """
     p, n, N = f.p, f.n, f.N
     chi.validate(p, n)
@@ -350,22 +351,31 @@ def eval_char(f, chi: CharacterSpec) -> CyclotomicScalar:
     w = teichmuller(g, p, N)
     weights = [w ** ((a * (chi.d + chi.r)) % (p - 1)) for a in range(p - 1)]
     ur = PadicScalar.from_int(1 + p, p, N) ** chi.r
-    zero = _zero_like(f.coeffs[0][0])
     cols = p ** (n - 1)
-    terms = []
-    upow = PadicScalar.one(p, N)
-    for rp in range(cols):
-        acc = None
-        for a in range(p - 1):
-            c = f.coeffs[a][rp]
-            if c.is_zero():
-                continue
-            t = c * weights[a]
-            acc = t if acc is None else acc + t
-        if acc is not None:
-            terms.append(((chi.e * rp) % p**chi.m if chi.m else 0, acc * upow))
-        upow = upow * ur
-    return CyclotomicScalar.from_exponent_terms(p, chi.m, terms, zero)
+    upows = [PadicScalar.one(p, N)]
+    for _ in range(cols - 1):
+        upows.append(upows[-1] * ur)
+    values = []
+    for grid in f.legs:
+        terms = []
+        for rp in range(cols):
+            acc = None
+            for a in range(p - 1):
+                c = grid[a][rp]
+                if c.is_zero():
+                    continue
+                t = c * weights[a]
+                acc = t if acc is None else acc + t
+            if acc is not None:
+                terms.append(((chi.e * rp) % p**chi.m if chi.m else 0, acc * upows[rp]))
+        zero = PadicScalar.zero(p, grid[0][0].N)
+        values.append(CyclotomicScalar.from_exponent_terms(p, chi.m, terms, zero))
+    if len(values) == 1:
+        return values[0]
+    a, b = values
+    return CyclotomicScalar(
+        p, chi.m, [QuadExtScalar(x, y, f.s) for x, y in zip(a.coeffs, b.coeffs)]
+    )
 
 
 def character_value(chi: CharacterSpec, a: int, p: int, N: int) -> tuple[int, int]:
@@ -416,16 +426,4 @@ def gauss_sum(chi: CharacterSpec, p: int, N: int) -> CyclotomicScalar:
             buckets[exp] = val
     return CyclotomicScalar.from_exponent_terms(
         p, cm, sorted(buckets.items()), PadicScalar.zero(p, N)
-    )
-
-
-def embed_root(x: CyclotomicScalar, m: int) -> CyclotomicScalar:
-    """Re-express a level-x.m element at a level m >= x.m."""
-    if m < x.m:
-        raise InvalidParameter("cannot embed into a smaller field")
-    if m == x.m:
-        return x
-    step = x.p ** (m - x.m)
-    return CyclotomicScalar.from_exponent_terms(
-        x.p, m, [(i * step, c) for i, c in enumerate(x.coeffs)], x._zero()
     )

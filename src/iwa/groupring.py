@@ -4,7 +4,9 @@ Elements are (p-1) x p^(n-1) coefficient grids c[a][r]: a indexes powers of
 the fixed generator of the torsion part Delta (the smallest primitive root
 g mod p), r indexes powers of the cyclic generator gamma of order p^(n-1).
 Multiplication is convolution, with a-indices mod p-1 and r-indices mod
-p^(n-1).
+p^(n-1).  An element over Q_p(alpha), alpha^2 = s, is two such base grids
+(A, B) meaning A + alpha B; every operation whose other operand is a base
+element or scalar runs on each leg alone.
 
 The gamma-direction factors through the coprime splitting
 x^(p^(n-1)) - 1 = prod_m Phi_{p^m}(x), m = 0..n-1, which yields evaluation
@@ -18,8 +20,9 @@ coefficients may certify slightly more after cancellation-free paths.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .cyclotomic import CyclotomicScalar, phi_degree, primitive_root
+from .cyclotomic import CyclotomicScalar, primitive_root
 from .errors import (
     BadIndex,
     BadLevel,
@@ -30,7 +33,7 @@ from .errors import (
     PrecisionExhausted,
     ShapeMismatch,
 )
-from .padic import PadicScalar, QuadExtScalar, check_odd_prime, teichmuller
+from .padic import INF, PadicScalar, QuadExtScalar, check_odd_prime, teichmuller
 
 BASE = "base"
 QUAD = "quad"
@@ -192,52 +195,84 @@ def _scalars(p, parts, zero, size):
     return out
 
 
+def _flat(grid):
+    return [c for row in grid for c in row]
+
+
+def _unflat(flat, C):
+    return [flat[i:i + C] for i in range(0, len(flat), C)]
+
+
+# -- elements -----------------------------------------------------------------
+
+
+def _grid(p, n, rows):
+    """A validated tuple-of-tuples grid of base scalars."""
+    grid = tuple(tuple(row) for row in rows)
+    if len(grid) != p - 1 or any(len(row) != p ** (n - 1) for row in grid):
+        raise ShapeMismatch("coefficient grid has the wrong shape")
+    for row in grid:
+        for c in row:
+            if not isinstance(c, PadicScalar) or c.p != p:
+                raise ShapeMismatch("coefficient outside the declared ring")
+    return grid
+
+
+def _zeros_like(grid):
+    """Zeros at each coefficient's precision: the alpha leg of a lift."""
+    return [[PadicScalar.zero(c.p, c.N) for c in row] for row in grid]
+
+
+def _same_s(s, t) -> bool:
+    return s is t or s == t
+
+
+def _sum_scaled(terms):
+    """Sum of grid * scalar over the (grid, scalar) terms with both present."""
+    out = None
+    for grid, x in terms:
+        if grid is None or x is None:
+            continue
+        t = [[c * x for c in row] for row in grid]
+        out = t if out is None else [[a + b for a, b in zip(r, q)] for r, q in zip(out, t)]
+    return out
+
+
 class GroupRingElem:
-    """Immutable element of the level-n group algebra."""
+    """Immutable element of the level-n group algebra.
 
-    __slots__ = ("p", "n", "kind", "s", "N", "coeffs")
+    `legs` holds one base grid, or two (A, B) meaning A + alpha B with
+    alpha^2 = s; `kind` follows from their number.
+    """
 
-    def __init__(self, p: int, n: int, coeffs, kind: str = BASE, s=None):
+    __slots__ = ("p", "n", "s", "N", "legs")
+
+    def __init__(self, p: int, n: int, coeffs, b=None, s=None):
         check_odd_prime(p)
         if n < 1:
             raise InvalidParameter("level n must be >= 1")
-        if kind not in (BASE, QUAD):
-            raise InvalidParameter("scalar ring must be base or quad")
-        if kind == QUAD and s is None:
-            raise InvalidParameter("quadratic ring needs alpha^2")
-        coeffs = tuple(tuple(row) for row in coeffs)
-        if len(coeffs) != p - 1 or any(len(row) != p ** (n - 1) for row in coeffs):
-            raise ShapeMismatch("coefficient grid has the wrong shape")
-        want = QuadExtScalar if kind == QUAD else PadicScalar
-        N = None
-        for row in coeffs:
-            for c in row:
-                if not isinstance(c, want) or c.p != p:
-                    raise ShapeMismatch("coefficient outside the declared ring")
-                N = c.N if N is None else min(N, c.N)
+        if (b is None) != (s is None):
+            raise InvalidParameter("a quadratic element needs its alpha leg and alpha^2")
+        legs = tuple(_grid(p, n, g) for g in ((coeffs,) if b is None else (coeffs, b)))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "N", min(c.N for leg in legs for row in leg for c in row))
+        object.__setattr__(self, "legs", legs)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingElem is immutable")
 
-    # -- scalar helpers ------------------------------------------------------
+    @property
+    def kind(self) -> str:
+        return QUAD if len(self.legs) == 2 else BASE
 
-    def _zero_scalar(self, N=None):
-        N = N or self.N
-        if self.kind == QUAD:
-            return QuadExtScalar.zero(self.p, N, self.s)
-        return PadicScalar.zero(self.p, N)
-
-    def _one_scalar(self, N=None):
-        N = N or self.N
-        if self.kind == QUAD:
-            return QuadExtScalar.one(self.p, N, self.s)
-        return PadicScalar.one(self.p, N)
+    @property
+    def coeffs(self):
+        """The grid of a base element."""
+        if len(self.legs) == 2:
+            raise InvalidParameter("a quadratic element has two grids: use part_a/part_b")
+        return self.legs[0]
 
     @property
     def cols(self) -> int:
@@ -247,162 +282,161 @@ class GroupRingElem:
     def rows(self) -> int:
         return self.p - 1
 
+    def _map(self, fn):
+        """Apply fn to every coefficient of every leg."""
+        legs = ([[fn(c) for c in row] for row in leg] for leg in self.legs)
+        return GroupRingElem(self.p, self.n, *legs, s=self.s)
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zeros(cls, p, n, N, kind=BASE, s=None):
-        z = (
-            QuadExtScalar.zero(p, N, s)
-            if kind == QUAD
-            else PadicScalar.zero(p, N)
-        )
-        grid = [[z] * p ** (n - 1) for _ in range(p - 1)]
-        return cls(p, n, grid, kind, s)
+        out = cls(p, n, [[PadicScalar.zero(p, N)] * p ** (n - 1) for _ in range(p - 1)])
+        return out.to_quad(s) if kind == QUAD else out
 
     @classmethod
     def monomial(cls, p, n, N, scalar, a=0, r=0):
-        kind = QUAD if isinstance(scalar, QuadExtScalar) else BASE
-        s = scalar.s if kind == QUAD else None
-        out = cls.zeros(p, n, N, kind, s)
-        grid = [list(row) for row in out.coeffs]
+        grid = [[PadicScalar.zero(p, N)] * p ** (n - 1) for _ in range(p - 1)]
         grid[a % (p - 1)][r % p ** (n - 1)] = scalar
-        return cls(p, n, grid, kind, s)
+        return cls(p, n, grid)
 
     @classmethod
-    def one(cls, p, n, N, kind=BASE, s=None):
-        o = QuadExtScalar.one(p, N, s) if kind == QUAD else PadicScalar.one(p, N)
-        return cls.monomial(p, n, N, o)
-
-    @classmethod
-    def from_gamma_poly(cls, p, n, N, scalars):
-        """Element supported on the trivial torsion row."""
-        scalars = list(scalars)
-        kind = QUAD if scalars and isinstance(scalars[0], QuadExtScalar) else BASE
-        s = scalars[0].s if kind == QUAD else None
-        out = cls.zeros(p, n, N, kind, s)
-        grid = [list(row) for row in out.coeffs]
-        for r, c in enumerate(scalars):
-            grid[0][r] = c
-        return cls(p, n, grid, kind, s)
-
-    def _replace_grid(self, grid):
-        return GroupRingElem(self.p, self.n, grid, self.kind, self.s)
+    def one(cls, p, n, N):
+        return cls.monomial(p, n, N, PadicScalar.one(p, N))
 
     # -- structure -----------------------------------------------------------
 
     def _check(self, other):
-        if (self.p, self.n, self.kind) != (other.p, other.n, other.kind):
+        if (self.p, self.n) != (other.p, other.n):
             raise ShapeMismatch("operands live in different group rings")
-        if self.kind == QUAD and not (self.s is other.s or self.s == other.s):
+        if self.s is not None and other.s is not None and not _same_s(self.s, other.s):
             raise ShapeMismatch("mixed quadratic extensions")
 
     def nnz(self) -> int:
-        return sum(0 if c.is_zero() else 1 for row in self.coeffs for c in row)
+        flats = [[c for row in leg for c in row] for leg in self.legs]
+        return sum(1 for cs in zip(*flats) if any(c.u for c in cs))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.coeffs for c in row)
+        return all(c.is_zero() for leg in self.legs for row in leg for c in row)
 
     def __add__(self, other):
         self._check(other)
-        grid = [
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.coeffs, other.coeffs)
-        ]
-        return self._replace_grid(grid)
+        if len(self.legs) != len(other.legs):
+            raise ShapeMismatch("operands live over different scalar rings")
+        legs = (
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(g, h)]
+            for g, h in zip(self.legs, other.legs)
+        )
+        return GroupRingElem(self.p, self.n, *legs, s=self.s)
 
     def __neg__(self):
-        return self._replace_grid([[-c for c in row] for row in self.coeffs])
+        return self._map(lambda c: -c)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        """Convolution; a base factor multiplies each leg of a quadratic one."""
         self._check(other)
         p, R, C = self.p, self.rows, self.cols
         zero = PadicScalar.zero(p, min(self.N, other.N))
-        f = [c for row in self.coeffs for c in row]
-        g = [c for row in other.coeffs for c in row]
-        if self.kind == BASE:
-            prod = _convolve(_leg(f, R, C), _leg(g, R, C), R, C)
-            flat = _scalars(p, [prod], zero, R * C)
-        else:
+        f = [_leg(_flat(leg), R, C) for leg in self.legs]
+        g = [_leg(_flat(leg), R, C) for leg in other.legs]
+        if len(f) == 2 and len(g) == 2:
             # (A + alpha B)(C + alpha D) = (AC + s BD) + alpha (AD + BC)
-            s = self.s
-            fa, fb = _leg([c.a for c in f], R, C), _leg([c.b for c in f], R, C)
-            ga, gb = _leg([c.a for c in g], R, C), _leg([c.b for c in g], R, C)
             fsb = None
-            if fb is not None and gb is not None:
-                fsb = _leg([s * c.b for c in f], R, C)
-            a = _scalars(
-                p, [_convolve(fa, ga, R, C), _convolve(fsb, gb, R, C)], zero, R * C
-            )
-            b = _scalars(
-                p, [_convolve(fa, gb, R, C), _convolve(fb, ga, R, C)], zero, R * C
-            )
-            flat = [QuadExtScalar(x, y, s) for x, y in zip(a, b)]
-        return self._replace_grid([flat[i:i + C] for i in range(0, R * C, C)])
+            if f[1] is not None and g[1] is not None:
+                fsb = _leg([self.s * c for c in _flat(self.legs[1])], R, C)
+            parts = [
+                [_convolve(f[0], g[0], R, C), _convolve(fsb, g[1], R, C)],
+                [_convolve(f[0], g[1], R, C), _convolve(f[1], g[0], R, C)],
+            ]
+        else:
+            parts = [[_convolve(x, y, R, C)] for x in f for y in g]
+        legs = (_unflat(_scalars(p, part, zero, R * C), C) for part in parts)
+        return GroupRingElem(p, self.n, *legs, s=self.s if self.s is not None else other.s)
 
     def scale(self, x):
-        """Coefficient-wise multiplication by a scalar."""
-        if isinstance(x, QuadExtScalar) and self.kind == BASE:
-            return self.to_quad(x.s).scale(x)
-        return self._replace_grid([[c * x for c in row] for row in self.coeffs])
+        """Coefficient-wise multiplication by a base or quadratic scalar.
+
+        By x = xa + alpha xb the legs become (xa A + s xb B, xb A + xa B);
+        terms whose scalar part is zero, or whose B is absent, are left out,
+        so scaling by alpha or its inverse is a leg swap and one base scaling.
+        """
+        if isinstance(x, PadicScalar):
+            return self._map(lambda c: c * x)
+        if self.s is not None and not _same_s(self.s, x.s):
+            raise ShapeMismatch("mixed quadratic extensions")
+        if x.is_zero():
+            return self.to_quad(x.s)._map(lambda c: c * x.a)
+        A, B = self.legs[0], self.legs[1] if len(self.legs) == 2 else None
+        xa = None if x.a.is_zero() else x.a
+        xb = None if x.b.is_zero() else x.b
+        sxb = None if xb is None or B is None else x.s * xb
+        new_a = _sum_scaled([(A, xa), (B, sxb)])
+        new_b = _sum_scaled([(A, xb), (B, xa)])
+        if new_a is None:
+            new_a = _zeros_like(new_b)
+        if new_b is None:
+            new_b = _zeros_like(new_a)
+        return GroupRingElem(self.p, self.n, new_a, new_b, s=x.s)
 
     def shift_p(self, k: int):
         """Multiply by p^k; exact, no precision cost."""
-        return self._replace_grid(
-            [[c.shift(k) for c in row] for row in self.coeffs]
-        )
+        return self._map(lambda c: c.shift(k))
 
     def truncate(self, N: int):
-        return self._replace_grid(
-            [[c.truncate(N) for c in row] for row in self.coeffs]
-        )
+        return self._map(lambda c: c.truncate(N))
 
     def to_quad(self, s: PadicScalar) -> "GroupRingElem":
-        if self.kind == QUAD:
-            if not (self.s is s or self.s == s):
+        if self.s is not None:
+            if not _same_s(self.s, s):
                 raise ShapeMismatch("element already lives in another extension")
             return self
-        grid = [[QuadExtScalar.lift(c, s) for c in row] for row in self.coeffs]
-        return GroupRingElem(self.p, self.n, grid, QUAD, s)
+        A = self.legs[0]
+        return GroupRingElem(self.p, self.n, A, _zeros_like(A), s=s)
 
     def part_a(self) -> "GroupRingElem":
-        if self.kind != QUAD:
+        if self.s is None:
             return self
-        return GroupRingElem(self.p, self.n, [[c.a for c in row] for row in self.coeffs])
+        return GroupRingElem(self.p, self.n, self.legs[0])
 
     def part_b(self) -> "GroupRingElem":
-        if self.kind != QUAD:
+        if self.s is None:
             raise InvalidParameter("base elements have no alpha part")
-        return GroupRingElem(self.p, self.n, [[c.b for c in row] for row in self.coeffs])
+        return GroupRingElem(self.p, self.n, self.legs[1])
 
     def min_valuation(self):
-        """Smallest coefficient valuation (half-integers count as halves)."""
-        from .padic import half_val_fraction
-
-        return min(half_val_fraction(c) for row in self.coeffs for c in row)
+        """Smallest coefficient valuation; the alpha leg adds v(alpha) = v(s)/2."""
+        shifts = (0,) if self.s is None else (0, Fraction(self.s.v, 2))
+        return min(
+            (
+                Fraction(c.v) + h
+                for leg, h in zip(self.legs, shifts)
+                for row in leg
+                for c in row
+                if c.u
+            ),
+            default=INF,
+        )
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElem):
             return NotImplemented
-        self._check(other)
         return (self - other).is_zero()
 
     __hash__ = None
 
     def identical(self, other) -> bool:
         """Bit-level equality of every stored digit, valuation, precision."""
-        if (self.p, self.n, self.kind) != (other.p, other.n, other.kind):
+        if (self.p, self.n, len(self.legs)) != (other.p, other.n, len(other.legs)):
             return False
-        for r1, r2 in zip(self.coeffs, other.coeffs):
-            for c1, c2 in zip(r1, r2):
-                if self.kind == QUAD:
-                    if not (c1.a.identical(c2.a) and c1.b.identical(c2.b)):
-                        return False
-                elif not c1.identical(c2):
-                    return False
-        return True
+        return all(
+            c1.identical(c2)
+            for g, h in zip(self.legs, other.legs)
+            for r1, r2 in zip(g, h)
+            for c1, c2 in zip(r1, r2)
+        )
 
     def __repr__(self):
         return (
@@ -411,12 +445,14 @@ class GroupRingElem:
         )
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "ring": self.kind,
-            "coeffs": [[c.to_json() for c in row] for row in self.coeffs],
-        }
+        if self.s is None:
+            coeffs = [[c.to_json() for c in row] for row in self.legs[0]]
+        else:
+            coeffs = [
+                [QuadExtScalar(a, b, self.s).to_json() for a, b in zip(ra, rb)]
+                for ra, rb in zip(*self.legs)
+            ]
+        return {"p": self.p, "n": self.n, "ring": self.kind, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupRingElem":
@@ -427,19 +463,19 @@ class GroupRingElem:
             raw = obj["coeffs"]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad group-ring object: {exc}") from exc
+        s = None
         if kind == QUAD:
             grid = [[QuadExtScalar.from_json(c) for c in row] for row in raw]
             s = grid[0][0].s if grid and grid[0] else None
-            for row in grid:
-                for c in row:
-                    if not (c.s is s or c.s == s):
-                        raise MalformedInput("inconsistent alpha^2 across grid")
-            elem_s = s
+            if any(not _same_s(c.s, s) for row in grid for c in row):
+                raise MalformedInput("inconsistent alpha^2 across grid")
+            legs = ([[c.a for c in row] for row in grid], [[c.b for c in row] for row in grid])
+        elif kind == BASE:
+            legs = ([[PadicScalar.from_json(c) for c in row] for row in raw],)
         else:
-            grid = [[PadicScalar.from_json(c) for c in row] for row in raw]
-            elem_s = None
+            raise MalformedInput("scalar ring must be base or quad")
         try:
-            return cls(p, n, grid, kind, elem_s)
+            return cls(p, n, *legs, s=s)
         except (ShapeMismatch, InvalidParameter) as exc:
             raise MalformedInput(str(exc)) from exc
 
@@ -486,7 +522,7 @@ def phi_twisted(p: int, n: int, m: int, j: int, N: int) -> GroupRingElem:
 
 
 def twist_gamma(f: GroupRingElem, j: int) -> GroupRingElem:
-    """Ring automorphism gamma -> u^(-j) gamma, u = 1 + p."""
+    """Ring automorphism gamma -> u^(-j) gamma, u = 1 + p; base elements."""
     w = PadicScalar.from_int(1 + f.p, f.p, f.N).inv() ** j
     t = PadicScalar.one(f.p, f.N)
     cols = f.cols
@@ -497,11 +533,11 @@ def twist_gamma(f: GroupRingElem, j: int) -> GroupRingElem:
             if not c.is_zero():
                 grid[a][r] = c * t
         t = t * w
-    return f._replace_grid(grid)
+    return GroupRingElem(f.p, f.n, grid)
 
 
 def twist_full(f: GroupRingElem, r: int) -> GroupRingElem:
-    """Twist by the r-th power of the cyclotomic character.
+    """Twist by the r-th power of the cyclotomic character; base elements.
 
     Each group element sigma is scaled by chi(sigma)^r: the gamma-part by
     u^(r * gamma-exponent), the torsion part by omega(g)^(r * a).
@@ -520,86 +556,31 @@ def twist_full(f: GroupRingElem, r: int) -> GroupRingElem:
             row.append(c if c.is_zero() else c * t * upow)
             upow = upow * u
         grid.append(row)
-    return f._replace_grid(grid)
+    return GroupRingElem(p, f.n, grid)
 
 
-def delta_component(f: GroupRingElem, d: int):
-    """Gamma-coefficient vector of the image under the d-th torsion idempotent.
+def b_sums(f: GroupRingElem, m: int) -> tuple:
+    """Fold the gamma-direction mod p^m: b_{r,a} = sum over lifts of c_{r',a}.
 
-    Returns w with w_r = (p-1)^(-1) sum_a c[a][r] omega(g)^(da); summing the
-    re-embedded components over d recovers f.
+    One folded row per torsion index, leg after leg.
     """
-    p, N = f.p, f.N
-    if not 0 <= d < p - 1:
-        raise BadIndex("torsion character index out of range")
-    w = teichmuller(primitive_root(p), p, N)
-    inv = PadicScalar.from_rational(1, p - 1, p, N)
-    wpow = [w ** ((d * a) % (p - 1)) for a in range(p - 1)]
-    out = []
-    for rp in range(f.cols):
-        acc = None
-        for a in range(f.rows):
-            c = f.coeffs[a][rp]
-            if c.is_zero():
-                continue
-            t = c * wpow[a]
-            acc = t if acc is None else acc + t
-        out.append(f._zero_scalar() if acc is None else acc * inv)
-    return tuple(out)
-
-
-def delta_embed(p: int, n: int, vec, d: int, N: int) -> GroupRingElem:
-    """Re-embed a gamma-vector as the d-isotypic grid w_r * omega(g)^(-da)."""
-    w = teichmuller(primitive_root(p), p, N)
-    grid = []
-    for a in range(p - 1):
-        t = w ** ((-d * a) % (p - 1))
-        grid.append([c * t for c in vec])
-    sample = vec[0]
-    kind = QUAD if isinstance(sample, QuadExtScalar) else BASE
-    return GroupRingElem(p, n, grid, kind, sample.s if kind == QUAD else None)
-
-
-def is_plus_admissible(f: GroupRingElem) -> bool:
-    """True iff all p-1 torsion-row sums agree at working precision."""
-    sums = []
-    for row in f.coeffs:
-        acc = row[0]
-        for c in row[1:]:
-            acc = acc + c
-        sums.append(acc)
-    return all((s - sums[0]).is_zero() for s in sums[1:])
-
-
-@dataclass(frozen=True)
-class BsumTable:
-    """Partial coefficient sums b[a][r] over lifts of r mod p^m."""
-
-    p: int
-    n: int
-    m: int
-    values: tuple
-
-
-def b_sums(f: GroupRingElem, m: int) -> BsumTable:
-    """Fold the gamma-direction mod p^m: b_{r,a} = sum over lifts of c_{r',a}."""
     if not 1 <= m < f.n:
         raise BadLevel(f"need 1 <= m < n, got m={m}, n={f.n}")
     pm = f.p**m
     rows = []
-    for row in f.coeffs:
-        out = list(row[:pm])
-        for rp in range(pm, f.cols):
-            out[rp % pm] = out[rp % pm] + row[rp]
-        rows.append(tuple(out))
-    return BsumTable(f.p, f.n, m, tuple(rows))
+    for leg in f.legs:
+        for row in leg:
+            out = list(row[:pm])
+            for rp in range(pm, f.cols):
+                out[rp % pm] = out[rp % pm] + row[rp]
+            rows.append(tuple(out))
+    return tuple(rows)
 
 
 def divisible_by_phi(f: GroupRingElem, m: int) -> bool:
     """Divisibility by phi(m): the folded sums are constant on classes mod p^(m-1)."""
-    table = b_sums(f, m)
     block = f.p ** (m - 1)
-    for row in table.values:
+    for row in b_sums(f, m):
         for r in range(block, len(row)):
             if not (row[r] - row[r % block]).is_zero():
                 return False
@@ -668,61 +649,62 @@ class CrtContext:
         pad = [PadicScalar.zero(p, N)] * ((p - 2) * cols)
         self.idem_legs = [_leg(list(e) + pad, p - 1, cols) for e in self.idem]
 
+
     # -- operations ----------------------------------------------------------
 
     def decompose(self, f: GroupRingElem):
-        """Per-slot evaluations gamma -> zeta_{p^m}, one row per torsion index."""
-        comps = []
-        for m in range(self.n):
-            rows = []
-            for row in f.coeffs:
-                terms = [(r, c) for r, c in enumerate(row) if not c.is_zero()]
-                rows.append(
-                    CyclotomicScalar.from_exponent_terms(
-                        self.p, m, terms, f._zero_scalar()
-                    )
-                )
-            comps.append(rows)
-        return comps
+        """Per-slot evaluations gamma -> zeta_{p^m}, one row per torsion index.
 
-    def _times_idem(self, terms, kind, s, N):
+        A quadratic element gives one such list per leg, as a pair.
+        """
+        zero = PadicScalar.zero(self.p, f.N)
+        legs = []
+        for grid in f.legs:
+            comps = []
+            for m in range(self.n):
+                comps.append([
+                    CyclotomicScalar.from_exponent_terms(
+                        self.p, m, [(r, c) for r, c in enumerate(row) if not c.is_zero()], zero
+                    )
+                    for row in grid
+                ])
+            legs.append(comps)
+        return legs[0] if len(legs) == 1 else tuple(legs)
+
+    def _times_idem(self, terms, N):
         """Grid of sum_m (slot rows of m) * e_m, zero coefficients at N.
 
-        `terms` pairs m with p-1 coefficient rows (one per torsion index) of
-        length at most p^(n-1); quadratic rows split into their legs.
+        `terms` pairs m with p-1 base coefficient rows (one per torsion
+        index) of length at most p^(n-1).
         """
         p, R, C = self.p, self.p - 1, self.p ** (self.n - 1)
         zero = PadicScalar.zero(p, N)
 
-        def leg(rows, part):
+        def leg(rows):
             flat = []
             for row in rows:
-                flat.extend(row if part is None else [getattr(c, part) for c in row])
+                flat.extend(row)
                 flat.extend([zero] * (C - len(row)))
             return _leg(flat, R, C)
 
-        legs = []
-        for part in (None,) if kind == BASE else ("a", "b"):
-            convs = [
-                _convolve(leg(rows, part), self.idem_legs[m], R, C) for m, rows in terms
-            ]
-            legs.append(_scalars(p, convs, zero, R * C))
-        flat = legs[0] if kind == BASE else [
-            QuadExtScalar(a, b, s) for a, b in zip(*legs)
-        ]
-        return [flat[i:i + C] for i in range(0, R * C, C)]
+        convs = [_convolve(leg(rows), self.idem_legs[m], R, C) for m, rows in terms]
+        return _unflat(_scalars(p, convs, zero, R * C), C)
 
-    def reconstruct(self, comps, kind=BASE, s=None) -> GroupRingElem:
-        terms = [(m, [slot.coeffs for slot in comps[m]]) for m in range(self.n)]
-        grid = self._times_idem(terms, kind, s, self.N)
-        return GroupRingElem(self.p, self.n, grid, kind, s)
+    def reconstruct(self, comps, s=None) -> GroupRingElem:
+        """Inverse of decompose; with alpha^2 = s, comps is the pair of legs."""
+        legs = (comps,) if s is None else comps
+        grids = (
+            self._times_idem([(m, [slot.coeffs for slot in c[m]]) for m in range(self.n)], self.N)
+            for c in legs
+        )
+        return GroupRingElem(self.p, self.n, *grids, s=s)
 
     def divide_exact(self, f: GroupRingElem, m: int) -> GroupRingElem:
         """Canonical quotient by phi(m): slot m of the result is zero.
 
         Polynomial long division by the monic factor (exact, denominator
         free), then one projector correction to flatten slot m; only the
-        correction spends the reconstruction denominators.
+        correction spends the reconstruction denominators.  Leg by leg.
         """
         if m < 1:
             raise BadIndex("phi index must be >= 1")
@@ -730,13 +712,18 @@ class CrtContext:
             return f.shift_p(-1)
         if not divisible_by_phi(f, m):
             raise NotDivisible(f"element is not a multiple of phi({m})")
+        zero = PadicScalar.zero(self.p, f.N)
+        legs = (self._quotient(grid, m, zero) for grid in f.legs)
+        return GroupRingElem(self.p, self.n, *legs, s=f.s)
+
+    def _quotient(self, grid, m, zero):
         p, cols = self.p, self.p ** (self.n - 1)
         block = p ** (m - 1)
         degphi = (p - 1) * block
         quots, slots = [], []
-        for row in f.coeffs:
+        for row in grid:
             work = list(row)
-            quot = [f._zero_scalar()] * cols
+            quot = [zero] * cols
             for d in range(cols - 1, degphi - 1, -1):
                 lead = work[d]
                 if lead.is_zero():
@@ -745,16 +732,15 @@ class CrtContext:
                 quot[base] = lead
                 for i in range(p):
                     work[base + i * block] = work[base + i * block] - lead
-            slot = CyclotomicScalar.from_exponent_terms(
-                p, m, [(r, c) for r, c in enumerate(quot)], f._zero_scalar()
-            )
+            slot = CyclotomicScalar.from_exponent_terms(p, m, list(enumerate(quot)), zero)
             quots.append(quot)
             slots.append(slot.coeffs)
-        corr = self._times_idem([(m, slots)], f.kind, f.s, f.N)
-        grid = [[q - c for q, c in zip(qr, cr)] for qr, cr in zip(quots, corr)]
-        return GroupRingElem(self.p, self.n, grid, f.kind, f.s)
+        corr = self._times_idem([(m, slots)], zero.N)
+        return [[q - c for q, c in zip(qr, cr)] for qr, cr in zip(quots, corr)]
 
     def invert_unit(self, f: GroupRingElem) -> GroupRingElem:
+        if f.s is not None:
+            raise ShapeMismatch("unit inversion runs over the base ring")
         p, N = self.p, f.N
         w = teichmuller(primitive_root(p), p, N)
         winv = [w ** ((-d) % (p - 1)) for d in range(p - 1)]
@@ -792,7 +778,7 @@ class CrtContext:
                     acc = t if acc is None else acc + t
                 back.append(acc.scalar_mul(scale))
             out.append(back)
-        return self.reconstruct(out, f.kind, f.s)
+        return self.reconstruct(out)
 
 
 def _poly_mul_int(a: dict, b: dict) -> dict:
@@ -822,16 +808,6 @@ def crt_decompose(f: GroupRingElem):
     return crt_context(f.p, f.n, f.N).decompose(f)
 
 
-def crt_reconstruct(comps, N: int | None = None) -> GroupRingElem:
-    sample = comps[0][0].coeffs[0]
-    p = sample.p
-    n = len(comps)
-    N = N or sample.N
-    kind = QUAD if isinstance(sample, QuadExtScalar) else BASE
-    s = sample.s if kind == QUAD else None
-    return crt_context(p, n, N).reconstruct(comps, kind, s)
-
-
 def divide_exact(f: GroupRingElem, m: int) -> GroupRingElem:
     if m >= f.n:
         if m < 1:
@@ -849,15 +825,16 @@ def slot_is_zero(comps, m: int) -> bool:
 
 
 def random_element(p, n, N, rng, kind=BASE, s=None, digits=6) -> GroupRingElem:
-    """Seeded random element with integral coefficients below p^digits."""
+    """Seeded random element with integral coefficients below p^digits.
+
+    A quadratic element draws its two legs coefficient by coefficient.
+    """
     bound = p**digits
-
-    def draw():
-        x = PadicScalar.from_int(rng.randbelow(bound), p, N)
-        if kind == QUAD:
-            y = PadicScalar.from_int(rng.randbelow(bound), p, N)
-            return QuadExtScalar(x, y, s)
-        return x
-
-    grid = [[draw() for _ in range(p ** (n - 1))] for _ in range(p - 1)]
-    return GroupRingElem(p, n, grid, kind, s)
+    count = 2 if kind == QUAD else 1
+    draws = [
+        [[PadicScalar.from_int(rng.randbelow(bound), p, N) for _ in range(count)]
+         for _ in range(p ** (n - 1))]
+        for _ in range(p - 1)
+    ]
+    legs = ([[c[i] for c in row] for row in draws] for i in range(count))
+    return GroupRingElem(p, n, *legs, s=s)

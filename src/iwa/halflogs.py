@@ -70,12 +70,6 @@ def omega_tilde(p: int, n: int, sign: str, N: int) -> GroupRingElem:
     return out
 
 
-def omega_poly(p: int, n: int, sign: str, N: int) -> GroupRingElem:
-    """Product of phi(s)/p over the parity range; empty product is 1."""
-    c = len(factor_indices(n, sign))
-    return omega_tilde(p, n, sign, N).shift_p(-c)
-
-
 def denominator_exponent(params: HalfLogParams) -> int:
     """Total power of p cleared by log_trunc: (k-1)(1 + #factors)."""
     c = len(factor_indices(params.n, params.sign))
@@ -83,7 +77,7 @@ def denominator_exponent(params: HalfLogParams) -> int:
 
 
 def log_trunc(params: HalfLogParams, N: int) -> GroupRingElem:
-    """p^(1-k) times the product of the j-twisted omega_poly, j = 0..k-2."""
+    """Product of the twists j = 0..k-2 of omega_tilde, over p^denominator_exponent."""
     p, n = params.p, params.n
     # the result sits at valuation >= -den_exp; with N <= den_exp it would
     # certify nothing even mod p^0
@@ -96,12 +90,6 @@ def log_trunc(params: HalfLogParams, N: int) -> GroupRingElem:
     for j in range(params.k - 1):
         out = out * twist_gamma(base, j)
     return out.shift_p(-denominator_exponent(params))
-
-
-def log_factors(params: HalfLogParams, N: int) -> list:
-    """The k-1 twisted omega_tilde factors, unnormalized, in twist order."""
-    base = omega_tilde(params.p, params.n, params.sign, N)
-    return [twist_gamma(base, j) for j in range(params.k - 1)]
 
 
 # -- zero locus ----------------------------------------------------------------

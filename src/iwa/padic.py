@@ -4,7 +4,7 @@ A nonzero scalar is stored as u * p^v with u a unit known modulo p^N, so it
 carries N significant base-p digits regardless of its valuation v.  Zero is a
 sentinel with valuation +infinity.  Addition aligns valuations and pays for
 cancellation out of the relative precision; when every tracked digit cancels
-the result is reported as zero at precision (or raised, see PrecisionPolicy).
+the result is reported as zero at precision.
 Unit arithmetic modulo p^N is exact, so equal quantities computed along
 different routes produce identical digits.
 
@@ -12,7 +12,6 @@ QuadExtScalar models a + b*alpha with alpha^2 = s a fixed scalar of odd or
 even valuation k-1; its valuations are half-integers stored in half-units.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -25,26 +24,6 @@ from .errors import (
 )
 
 INF = float("inf")
-
-REPORT_ZERO = "zero"
-RAISE_ON_CANCEL = "error"
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Working precision cap and the behavior on total cancellation."""
-
-    N: int = 40
-    on_total_cancellation: str = REPORT_ZERO
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise InvalidParameter("precision cap must be >= 1")
-        if self.on_total_cancellation not in (REPORT_ZERO, RAISE_ON_CANCEL):
-            raise InvalidParameter("unknown cancellation policy")
-
-
-DEFAULT_POLICY = PrecisionPolicy()
 
 
 def is_prime(p: int) -> bool:
@@ -156,7 +135,7 @@ class PadicScalar:
 
     # -- ring operations ---------------------------------------------------
 
-    def add(self, other: "PadicScalar", policy: PrecisionPolicy = DEFAULT_POLICY) -> "PadicScalar":
+    def add(self, other: "PadicScalar") -> "PadicScalar":
         self._check_compatible(other)
         N = min(self.N, other.N)
         if self.is_zero():
@@ -170,10 +149,6 @@ class PadicScalar:
         mod = p**room
         t = (self.u * p ** (self.v - vmin) + other.u * p ** (other.v - vmin)) % mod
         if t == 0:
-            if policy.on_total_cancellation == RAISE_ON_CANCEL:
-                raise PrecisionExhausted(
-                    f"cancellation below p^{abs_prec}: no significant digits remain"
-                )
             return PadicScalar.zero(p, N)
         extra = int_valuation(t, p)
         v = vmin + extra
@@ -373,9 +348,6 @@ class QuadExtScalar:
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
-
-    def truncate(self, N: int) -> "QuadExtScalar":
-        return QuadExtScalar(self.a.truncate(N), self.b.truncate(N), self.s)
 
     def half_val(self):
         """Valuation in half-units: 2*v_p(self); +inf for zero.

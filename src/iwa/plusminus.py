@@ -173,7 +173,8 @@ def _signed(params: HalfLogParams, sign: str) -> HalfLogParams:
     return HalfLogParams(params.p, params.k, params.n, sign, params.eps)
 
 
-_UNIT_INV_CACHE: dict[tuple, GroupRingElem] = {}
+# (p, n, k, sign) -> (working precision, inverse)
+_UNIT_INV_CACHE: dict[tuple, tuple] = {}
 
 
 def _twisted_unit_inverse(params: HalfLogParams, sign: str, N: int):
@@ -181,19 +182,19 @@ def _twisted_unit_inverse(params: HalfLogParams, sign: str, N: int):
     p, n, k = params.p, params.n, params.k
     if k == 2 or not factor_indices(n, sign):
         return None
-    key = (p, n, k, sign)
-    hit = _UNIT_INV_CACHE.get(key)
-    if hit is not None and hit.N >= N:
-        return hit
     # headroom: the inversion itself spends digits on slot denominators,
     # and the quotient chain downstream spends more
     work = max(N, 40) + 4 * n + 8
+    key = (p, n, k, sign)
+    hit = _UNIT_INV_CACHE.get(key)
+    if hit is not None and hit[0] >= work:
+        return hit[1]
     base = omega_tilde(p, n, sign, work)
     unit = twist_gamma(base, 1)
     for j in range(2, k - 1):
         unit = unit * twist_gamma(base, j)
     inv = invert_unit(unit)
-    _UNIT_INV_CACHE[key] = inv
+    _UNIT_INV_CACHE[key] = (work, inv)
     return inv
 
 
@@ -204,8 +205,8 @@ def compose(Lplus, Lminus, params: HalfLogParams, alpha: QuadExtScalar) -> Admis
     if (Lplus.p, Lplus.n) != (p, n) or (Lminus.p, Lminus.n) != (p, n):
         raise ShapeMismatch("components disagree with the parameters")
     N = min(Lplus.N, Lminus.N)
-    lp = log_trunc(_signed(params, PLUS), N).to_quad(s)
-    lm = log_trunc(_signed(params, MINUS), N).to_quad(s)
+    lp = log_trunc(_signed(params, PLUS), N)
+    lm = log_trunc(_signed(params, MINUS), N)
     P = lp * Lplus.to_quad(s)
     M = lm * Lminus.to_quad(s)
     Ma = M.scale(alpha)
@@ -219,7 +220,7 @@ def _extract(numerator, params, sign, floor):
     X = numerator.shift_p((k - 1) * (1 + len(indices)))
     inv = _twisted_unit_inverse(params, sign, N)
     if inv is not None:
-        X = X * inv.to_quad(numerator.s)
+        X = X * inv
     for m in indices:
         if not divisible_by_phi(X, m):
             raise NotDecomposable(

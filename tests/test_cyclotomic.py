@@ -11,7 +11,6 @@ from iwa.cyclotomic import (
     character_value,
     dlog_oneunits,
     dlog_table,
-    embed_root,
     eval_char,
     gauss_sum,
     phi_degree,
@@ -337,15 +336,7 @@ def test_gauss_sum_guards():
         gauss_sum(CharacterSpec(1, 1, 1, 2), 3, 20)
 
 
-# -- evaluation and embedding ----------------------------------------------------
-
-
-def test_embed_root_consistency():
-    z3 = CyclotomicScalar.root(3, 1, 1, 20)
-    lifted = embed_root(z3, 2)
-    assert lifted == CyclotomicScalar.root(3, 2, 3, 20)
-    with pytest.raises(InvalidParameter):
-        embed_root(lifted, 1)
+# -- evaluation ------------------------------------------------------------------
 
 
 def test_eval_char_is_a_ring_map():

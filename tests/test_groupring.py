@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from iwa.cyclotomic import CharacterSpec, eval_char
+from iwa.cyclotomic import CharacterSpec, CyclotomicScalar, eval_char, primitive_root
 from iwa.errors import (
     BadLevel,
     MalformedInput,
@@ -19,13 +19,9 @@ from iwa.groupring import (
     b_sums,
     crt_context,
     crt_decompose,
-    crt_reconstruct,
-    delta_component,
-    delta_embed,
     divide_exact,
     divisible_by_phi,
     invert_unit,
-    is_plus_admissible,
     phi,
     phi_twisted,
     random_element,
@@ -33,7 +29,8 @@ from iwa.groupring import (
     twist_full,
     twist_gamma,
 )
-from iwa.padic import PadicScalar, QuadExtScalar
+from iwa.padic import PadicScalar, QuadExtScalar, teichmuller
+from iwa.plusminus import make_alpha
 from iwa.rng import SplitMix64
 
 
@@ -79,9 +76,9 @@ def test_mul_matches_integer_convolution():
         assert int_grid(got) == want
 
 
-def _mixed_scalar(rng, p):
+def _mixed_scalar(rng, p, low=1):
     """A scalar with a random valuation (negatives too) and precision, or zero."""
-    N = rng.randrange(1, 41)
+    N = rng.randrange(low, 41)
     if rng.randrange(5) == 0:
         return PadicScalar.zero(p, N)
     u = rng.randrange(1, p**N)
@@ -129,23 +126,24 @@ def _assert_matches_oracle(got, want, p):
         assert c.is_zero() or c.v + c.N == cap
 
 
+def _flat(f):
+    return [c for row in f.coeffs for c in row]
+
+
 def _check_product_against_oracle(f, g):
     p, R, C = f.p, f.rows, f.cols
     prod = f * g
     assert prod.identical(g * f)
-    flat_f = [c for row in f.coeffs for c in row]
-    flat_g = [c for row in g.coeffs for c in row]
-    got = [c for row in prod.coeffs for c in row]
     if f.kind == BASE:
-        _assert_matches_oracle(got, _oracle_sums([(flat_f, flat_g)], p, R, C), p)
+        _assert_matches_oracle(_flat(prod), _oracle_sums([(_flat(f), _flat(g))], p, R, C), p)
         return
-    fa, fb = [c.a for c in flat_f], [c.b for c in flat_f]
-    ga, gb = [c.a for c in flat_g], [c.b for c in flat_g]
+    fa, fb = _flat(f.part_a()), _flat(f.part_b())
+    ga, gb = _flat(g.part_a()), _flat(g.part_b())
     fsb = [f.s * b for b in fb]  # the alpha^2 BD term pairs s*b with d
     want_a = _oracle_sums([(fa, ga), (fsb, gb)], p, R, C)
     want_b = _oracle_sums([(fa, gb), (fb, ga)], p, R, C)
-    _assert_matches_oracle([c.a for c in got], want_a, p)
-    _assert_matches_oracle([c.b for c in got], want_b, p)
+    _assert_matches_oracle(_flat(prod.part_a()), want_a, p)
+    _assert_matches_oracle(_flat(prod.part_b()), want_b, p)
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (3, 5), (5, 3), (7, 3)])
@@ -164,10 +162,7 @@ def test_mul_kernel_matches_brute_force_with_pairwise_caps(p, n, kind):
     s = PadicScalar(p, 1, p**30 - 1, 30)  # alpha^2 = -p to 30 digits
 
     def quad():
-        return GroupRingElem(
-            p, n, [[QuadExtScalar(a, b, s) for a, b in zip(r1, r2)]
-                   for r1, r2 in zip(grid(), grid())], "quad", s,
-        )
+        return GroupRingElem(p, n, grid(), grid(), s=s)
 
     f = quad()
     _check_product_against_oracle(f, quad())
@@ -260,33 +255,6 @@ def test_twist_full_matches_twisted_evaluation():
         assert lhs == rhs
 
 
-# -- torsion components ----------------------------------------------------------
-
-
-def test_delta_components_resolve_identity():
-    rng = SplitMix64(11)
-    for p, n in [(3, 2), (5, 2), (3, 3)]:
-        f = random_element(p, n, 30, rng)
-        acc = None
-        for d in range(p - 1):
-            part = delta_embed(p, n, delta_component(f, d), d, 30)
-            acc = part if acc is None else acc + part
-        assert acc == f
-
-
-def test_delta_components_are_orthogonal():
-    p, n, N = 5, 2, 30
-    rng = SplitMix64(12)
-    f = random_element(p, n, N, rng)
-    emb = delta_embed(p, n, delta_component(f, 1), 1, N)
-    # re-extracting any other component kills the embedded one
-    dead = delta_component(emb, 2)
-    assert all(c.is_zero() for c in dead)
-    again = delta_component(emb, 1)
-    for c1, c2 in zip(again, delta_component(f, 1)):
-        assert c1 == c2
-
-
 # -- folding and divisibility ----------------------------------------------------
 
 
@@ -295,9 +263,9 @@ def test_b_sums_small_example():
     p, n = 3, 3
     f = from_int_grid(p, n, [[1, 2, 3, 4, 5, 6, 7, 8, 9], [0] * 9])
     t = b_sums(f, 1)
-    assert [lift_int(c) for c in t.values[0]] == [1 + 4 + 7, 2 + 5 + 8, 3 + 6 + 9]
+    assert [lift_int(c) for c in t[0]] == [1 + 4 + 7, 2 + 5 + 8, 3 + 6 + 9]
     t2 = b_sums(f, 2)
-    assert [lift_int(c) for c in t2.values[0]] == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+    assert [lift_int(c) for c in t2[0]] == [1, 2, 3, 4, 5, 6, 7, 8, 9]
     with pytest.raises(BadLevel):
         b_sums(f, 3)
     with pytest.raises(BadLevel):
@@ -329,13 +297,6 @@ def test_divisibility_agrees_with_slot_vanishing():
                 assert divisible_by_phi(f, m) == slot_is_zero(comps, m)
 
 
-def test_plus_admissibility_row_sums():
-    p, n, N = 3, 2, 20
-    sym = from_int_grid(p, n, [[1, 2, 3], [4, 1, 1]])
-    assert is_plus_admissible(sym)
-    assert not is_plus_admissible(from_int_grid(p, n, [[1, 2, 3], [4, 1, 2]]))
-
-
 # -- CRT splitting ---------------------------------------------------------------
 
 
@@ -344,7 +305,7 @@ def test_crt_roundtrip_random():
     for p, n in [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]:
         for _ in range(6):
             f = random_element(p, n, 40, rng)
-            back = crt_reconstruct(crt_decompose(f))
+            back = crt_context(p, n, 40).reconstruct(crt_decompose(f))
             assert back == f
 
 
@@ -442,7 +403,8 @@ def test_quad_grid_operations():
     assert (f + g) * f == f * f + g * f
     alpha = QuadExtScalar(PadicScalar.zero(p, N), PadicScalar.one(p, N), s)
     assert f.part_a().to_quad(s) + f.part_b().scale(alpha) == f
-    back = crt_reconstruct(crt_decompose(f))
+    ctx = crt_context(p, n, N)
+    back = ctx.reconstruct(ctx.decompose(f), s)
     assert back == f
     prod = f * phi(p, n, 1, N).to_quad(s)
     assert divisible_by_phi(prod, 1)
@@ -457,8 +419,138 @@ def test_scale_promotes_base_to_quad():
     f = GroupRingElem.one(p, n, N)
     g = f.scale(alpha)
     assert g.kind == "quad"
-    assert g.coeffs[0][0].b == PadicScalar.one(p, N)
+    assert g.part_b().coeffs[0][0] == PadicScalar.one(p, N)
 
+
+# -- quadratic elements against a per-coefficient reference ------------------------
+#
+# The reference keeps a quadratic element as a grid of QuadExtScalar and works
+# coefficient by coefficient; the element's two base legs must give the same
+# values with at least as many digits in every leg of every coefficient.
+
+
+def _pairs(f):
+    """f as a grid of QuadExtScalar."""
+    return [
+        [QuadExtScalar(a, b, f.s) for a, b in zip(ra, rb)]
+        for ra, rb in zip(f.part_a().coeffs, f.part_b().coeffs)
+    ]
+
+
+def _from_pairs(p, n, grid, s):
+    return GroupRingElem(
+        p, n, [[c.a for c in row] for row in grid], [[c.b for c in row] for row in grid], s=s
+    )
+
+
+def _assert_matches_reference(got, ref):
+    """Equal in value, and no leg of any coefficient has fewer digits."""
+    assert got == ref
+    for leg_got, leg_ref in ((got.part_a(), ref.part_a()), (got.part_b(), ref.part_b())):
+        for row_got, row_ref in zip(leg_got.coeffs, leg_ref.coeffs):
+            for c_got, c_ref in zip(row_got, row_ref):
+                assert c_got.N >= c_ref.N
+
+
+def _ref_divisible(f, m):
+    p, pm, block = f.p, f.p**m, f.p ** (m - 1)
+    for row in _pairs(f):
+        folded = list(row[:pm])
+        for r in range(pm, f.cols):
+            folded[r % pm] = folded[r % pm] + row[r]
+        if any(not (folded[r] - folded[r % block]).is_zero() for r in range(block, pm)):
+            return False
+    return True
+
+
+def _ref_divide(f, m):
+    """Long division by phi(m) on QuadExtScalar, then the projector correction."""
+    p, n, cols = f.p, f.n, f.cols
+    ctx = crt_context(p, n, f.N)
+    block = p ** (m - 1)
+    degphi = (p - 1) * block
+    zero = QuadExtScalar.zero(p, f.N, f.s)
+    quots, slots = [], []
+    for row in _pairs(f):
+        work, quot = list(row), [zero] * cols
+        for d in range(cols - 1, degphi - 1, -1):
+            lead = work[d]
+            if lead.is_zero():
+                continue
+            quot[d - degphi] = lead
+            for i in range(p):
+                work[d - degphi + i * block] = work[d - degphi + i * block] - lead
+        quots.append(quot)
+        slots.append(CyclotomicScalar.from_exponent_terms(p, m, list(enumerate(quot)), zero).coeffs)
+    corr_a = ctx._times_idem([(m, [[c.a for c in sl] for sl in slots])], f.N)
+    corr_b = ctx._times_idem([(m, [[c.b for c in sl] for sl in slots])], f.N)
+    grid = [
+        [q - QuadExtScalar(a, b, f.s) for q, a, b in zip(qr, ar, br)]
+        for qr, ar, br in zip(quots, corr_a, corr_b)
+    ]
+    return _from_pairs(p, n, grid, f.s)
+
+
+def _ref_eval(f, chi):
+    p, N = f.p, f.N
+    w = teichmuller(primitive_root(p), p, N)
+    weights = [w ** ((a * (chi.d + chi.r)) % (p - 1)) for a in range(p - 1)]
+    ur = PadicScalar.from_int(1 + p, p, N) ** chi.r
+    grid = _pairs(f)
+    terms, upow = [], PadicScalar.one(p, N)
+    for r in range(f.cols):
+        acc = None
+        for a in range(p - 1):
+            if not grid[a][r].is_zero():
+                t = grid[a][r] * weights[a]
+                acc = t if acc is None else acc + t
+        if acc is not None:
+            terms.append(((chi.e * r) % p**chi.m if chi.m else 0, acc * upow))
+        upow = upow * ur
+    zero = QuadExtScalar.zero(p, grid[0][0].N, f.s)
+    return CyclotomicScalar.from_exponent_terms(p, chi.m, terms, zero)
+
+
+@pytest.mark.parametrize("p,n,k,eps", [(3, 3, 2, 1), (3, 4, 3, 1), (5, 3, 3, 2)])
+def test_quad_legs_match_per_coefficient_reference(p, n, k, eps):
+    rng = random.Random(f"quad-reference/{p}/{n}")
+    alpha = make_alpha(p, k, eps, 30)
+    s = alpha.s
+    R, C = p - 1, p ** (n - 1)
+
+    def grid(low=1):
+        return [[_mixed_scalar(rng, p, low) for _ in range(C)] for _ in range(R)]
+
+    # precisions from 1 digit up, then from 25 up (exact division needs
+    # N >= n + 10, and evaluation works at the element's smallest N)
+    for low in (1, 25):
+        for f in (
+            GroupRingElem(p, n, grid(low), grid(low), s=s),
+            GroupRingElem(p, n, grid(low)).to_quad(s),  # an all-zero alpha leg
+        ):
+            _check_quad_against_reference(f, alpha, low > 1)
+    # a base element scaled by alpha becomes quadratic
+    f = GroupRingElem(p, n, grid())
+    lifted = [[QuadExtScalar.lift(c, s) * alpha for c in row] for row in f.coeffs]
+    _assert_matches_reference(f.scale(alpha), _from_pairs(p, n, lifted, s))
+
+
+def _check_quad_against_reference(f, alpha, divide):
+    p, n, s = f.p, f.n, f.s
+    for x in (alpha, alpha.inv()):
+        ref = _from_pairs(p, n, [[c * x for c in row] for row in _pairs(f)], s)
+        _assert_matches_reference(f.scale(x), ref)
+    for chi in (CharacterSpec(0, 0, 1, 0), CharacterSpec(1, 1, 1, 0), CharacterSpec(0, n - 1, 2, 1)):
+        got, ref = eval_char(f, chi), _ref_eval(f, chi)
+        assert got == ref
+        for c_got, c_ref in zip(got.coeffs, ref.coeffs):
+            assert c_got.a.N >= c_ref.a.N and c_got.b.N >= c_ref.b.N
+    for m in range(1, n):
+        assert divisible_by_phi(f, m) == _ref_divisible(f, m)
+        if divide:
+            prod = f * phi(p, n, m, 40)
+            assert divisible_by_phi(prod, m) and _ref_divisible(prod, m)
+            _assert_matches_reference(divide_exact(prod, m), _ref_divide(prod, m))
 
 # -- serialization -----------------------------------------------------------------
 

@@ -12,9 +12,7 @@ from iwa.halflogs import (
     character_grid,
     denominator_exponent,
     factor_indices,
-    log_factors,
     log_trunc,
-    omega_poly,
     omega_tilde,
     predicted_locus,
     saturated_twist_unit,
@@ -66,40 +64,46 @@ def test_params_validation():
     assert params.to_json() == {"p": 3, "k": 2, "n": 2, "sign": "-", "eps": 2}
 
 
+# the omega polynomial prod phi(s)/p is omega_tilde over p^(number of factors)
+
+
 def test_omega_poly_empty_product_is_one():
     # no even index below 2, so the plus product at n <= 2 is empty
     for n in (1, 2):
-        w = omega_poly(3, n, PLUS, 20)
+        w = omega_tilde(3, n, PLUS, 20)
         assert w == GroupRingElem.one(3, n, 20)
 
 
 def test_omega_poly_minus_level_two():
-    # single factor phi(1)/3 = (1 + gamma + gamma^2)/3 at level 2
-    w = omega_poly(3, 2, MINUS, 20)
-    third = PadicScalar.from_rational(1, 3, 3, 20)
+    # single factor phi(1) = 1 + gamma + gamma^2 at level 2, i.e. 3 times
+    # the normalized (1 + gamma + gamma^2)/3
+    w = omega_tilde(3, 2, MINUS, 20)
+    one = PadicScalar.one(3, 20)
     for r in range(3):
-        assert w.coeffs[0][r] == third
+        assert w.coeffs[0][r] == one
     for a in (1,):
         assert all(c.is_zero() for c in w.coeffs[a])
 
 
 def test_omega_poly_plus_level_four_support():
-    # phi(2)/3 at level 4: coefficients 1/3 at gamma-exponents 0, 3, 6
-    w = omega_poly(3, 4, PLUS, 20)
-    third = PadicScalar.from_rational(1, 3, 3, 20)
+    # phi(2) at level 4: coefficients 1 (3 times the normalized 1/3) at
+    # gamma-exponents 0, 3, 6
+    w = omega_tilde(3, 4, PLUS, 20)
+    one = PadicScalar.one(3, 20)
     for r in range(27):
         c = w.coeffs[0][r]
         if r in (0, 3, 6):
-            assert c == third
+            assert c == one
         else:
             assert c.is_zero()
 
 
 def test_omega_tilde_scaling_relation():
+    # at weight 2 the half-log is omega_tilde over p^(1 + number of factors)
     for (pp, n, sign) in [(3, 3, MINUS), (3, 4, PLUS), (5, 3, MINUS)]:
         c = len(factor_indices(n, sign))
         lhs = omega_tilde(pp, n, sign, 24)
-        rhs = omega_poly(pp, n, sign, 24).shift_p(c)
+        rhs = log_trunc(HalfLogParams(p=pp, k=2, n=n, sign=sign), 24).shift_p(1 + c)
         assert lhs == rhs
 
 
@@ -121,7 +125,8 @@ def test_omega_tilde_plus_level_five_product_support():
 def test_log_trunc_weight_two_is_omega_over_p():
     for (pp, n, sign) in [(3, 2, MINUS), (3, 4, PLUS), (3, 4, MINUS), (5, 3, MINUS)]:
         params = HalfLogParams(p=pp, k=2, n=n, sign=sign)
-        assert log_trunc(params, 30) == omega_poly(pp, n, sign, 30).shift_p(-1)
+        c = len(factor_indices(n, sign))
+        assert log_trunc(params, 30) == omega_tilde(pp, n, sign, 30).shift_p(-1 - c)
 
 
 def test_log_trunc_empty_product_is_pure_p_power():
@@ -173,12 +178,12 @@ def test_log_trunc_precision_guard():
 
 
 def test_log_factors_are_exact_twists():
+    # the weight-4 half-log is the product of the three twists j = 0, 1, 2
+    # of omega_tilde over p^denominator_exponent
     params = HalfLogParams(p=3, k=4, n=3, sign=MINUS)
-    facs = log_factors(params, 20)
-    assert len(facs) == 3
     base = omega_tilde(3, 3, MINUS, 20)
-    for j, f in enumerate(facs):
-        assert f == twist_gamma(base, j)
+    prod = twist_gamma(base, 0) * twist_gamma(base, 1) * twist_gamma(base, 2)
+    assert log_trunc(params, 20) == prod.shift_p(-denominator_exponent(params))
 
 
 def cpow(z, t):

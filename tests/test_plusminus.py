@@ -11,7 +11,8 @@ from iwa.errors import (
     ShapeMismatch,
     UnboundedResult,
 )
-from iwa.groupring import GroupRingElem, random_element
+from iwa import plusminus
+from iwa.groupring import GroupRingElem, invert_unit, random_element
 from iwa.halflogs import MINUS, PLUS, HalfLogParams, log_trunc
 from iwa.padic import PadicScalar, half_val_fraction
 from iwa.plusminus import (
@@ -155,6 +156,30 @@ def test_decompose_refuses_components_too_thin_to_recompose():
     B = random_element(p, n, N, rng).to_quad(alpha.s)
     with pytest.raises(PrecisionExhausted, match="needs more than 18"):
         decompose(compose(A, B, params, alpha))
+
+
+def test_twisted_unit_inverse_built_once_per_sign(monkeypatch):
+    # at p=7 n=3 k=3 the plus inverse keeps 22 digits while later calls ask
+    # for more; the cache compares working precisions, which are equal, so
+    # a second decompose builds nothing
+    builds = []
+
+    def counting(u):
+        builds.append(u)
+        return invert_unit(u)
+
+    monkeypatch.setattr(plusminus, "invert_unit", counting)
+    monkeypatch.setattr(plusminus, "_UNIT_INV_CACHE", {})
+    p, n, k, N = 7, 3, 3, 40
+    alpha = make_alpha(p, k, 1, N)
+    params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
+    rng = SplitMix64(3)
+    for _ in range(2):
+        A = random_element(p, n, N, rng).to_quad(alpha.s)
+        B = random_element(p, n, N, rng).to_quad(alpha.s)
+        decompose(compose(A, B, params, alpha))
+    # both signs have a twisted factor at n = 3: one inverse each
+    assert len(builds) == 2
 
 
 def test_plus_component_stays_in_base_field():
