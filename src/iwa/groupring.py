@@ -12,8 +12,10 @@ The gamma-direction factors through the coprime splitting
 x^(p^(n-1)) - 1 = prod_m Phi_{p^m}(x), m = 0..n-1, which yields evaluation
 slots gamma -> zeta_{p^m}.  Divisibility by phi(m), exact division with a
 canonical (slot-zeroed) quotient, and unit inversion all run through that
-splitting.  Reconstruction denominators cost at most n-1 digits of absolute
-precision, so CRT-backed operations require N >= n + 10.
+splitting.  Its idempotents are exact rationals in closed form (CrtContext),
+so slot results depend on their inputs alone; their denominators cost at
+most n-1 digits of absolute precision, and CRT-backed operations require
+N >= n + 10.
 
 The element-level precision N reported here is the grid minimum; single
 coefficients may certify slightly more after cancellation-free paths.
@@ -385,9 +387,6 @@ class GroupRingElem:
         """Multiply by p^k; exact, no precision cost."""
         return self._map(lambda c: c.shift(k))
 
-    def truncate(self, N: int):
-        return self._map(lambda c: c.truncate(N))
-
     def to_quad(self, s: PadicScalar) -> "GroupRingElem":
         if self.s is not None:
             if not _same_s(self.s, s):
@@ -536,29 +535,6 @@ def twist_gamma(f: GroupRingElem, j: int) -> GroupRingElem:
     return GroupRingElem(f.p, f.n, grid)
 
 
-def twist_full(f: GroupRingElem, r: int) -> GroupRingElem:
-    """Twist by the r-th power of the cyclotomic character; base elements.
-
-    Each group element sigma is scaled by chi(sigma)^r: the gamma-part by
-    u^(r * gamma-exponent), the torsion part by omega(g)^(r * a).
-    """
-    p, N = f.p, f.N
-    u = PadicScalar.from_int(1 + p, p, N) ** r
-    w = teichmuller(primitive_root(p), p, N)
-    wpow = [w ** ((r * a) % (p - 1)) for a in range(p - 1)]
-    grid = []
-    for a in range(f.rows):
-        t = wpow[a]
-        row = []
-        upow = PadicScalar.one(p, N)
-        for rp in range(f.cols):
-            c = f.coeffs[a][rp]
-            row.append(c if c.is_zero() else c * t * upow)
-            upow = upow * u
-        grid.append(row)
-    return GroupRingElem(p, f.n, grid)
-
-
 def b_sums(f: GroupRingElem, m: int) -> tuple:
     """Fold the gamma-direction mod p^m: b_{r,a} = sum over lifts of c_{r',a}.
 
@@ -590,65 +566,38 @@ def divisible_by_phi(f: GroupRingElem, m: int) -> bool:
 # -- CRT along the gamma-direction --------------------------------------------
 
 
-def _phi_int_poly(p: int, m: int) -> dict:
-    """Integer coefficients of the m-th factor: x - 1 for m = 0."""
-    if m == 0:
-        return {0: -1, 1: 1}
-    return {i * p ** (m - 1): 1 for i in range(p)}
+def _widest(terms):
+    """The largest relative precision among the rows of (m, rows) terms."""
+    return max(c.N for _, rows in terms for row in rows for c in row)
 
 
 class CrtContext:
-    """Cached splitting data for (p, n): slot values, inverses, idempotents."""
+    """The slot idempotents of (p, n) in closed form.
 
-    def __init__(self, p: int, n: int, N: int):
+    With eps_m = p^-(n-1-m) sum_{p^m | j} gamma^j, the average over the
+    subgroup <gamma^(p^m)>, the idempotent of slot m is e_0 = eps_0 and
+    e_m = eps_m - eps_(m-1) = p^-(n-m) sum_j (p [p^m | j] - [p^(m-1) | j]) gamma^j
+    for m >= 1.  Each is p^-idem_den_exp[m] times an integer polynomial
+    `idem_num[m]` with entries in {0, 1, p-1, -1}, so the context holds no
+    precision: a slot result is known to the absolute precision of its
+    inputs less that exponent.
+    """
+
+    def __init__(self, p: int, n: int):
         check_odd_prime(p)
-        if N < n + 10:
-            raise PrecisionExhausted(f"CRT at level {n} needs N >= {n + 10}")
-        self.p, self.n, self.N = p, n, N
+        self.p, self.n = p, n
         cols = p ** (n - 1)
-        # one generic inversion per level: the product of the other factors
-        # at the level-L root, which scales the idempotent polynomial
-        self.inv_prod = [None] * n
-        for L in range(n):
-            prod = None
-            for m in range(n):
-                if m == L:
-                    continue
-                terms = [
-                    (e, PadicScalar.from_int(c, p, N))
-                    for e, c in _phi_int_poly(p, m).items()
-                ]
-                v = CyclotomicScalar.from_exponent_terms(
-                    p, L, terms, PadicScalar.zero(p, N)
-                )
-                prod = v if prod is None else prod * v
-            if prod is None:  # n = 1: empty product
-                prod = CyclotomicScalar.from_scalar(PadicScalar.one(p, N), L)
-            self.inv_prod[L] = prod.inv()
-        # idempotent polynomials e_m(x) of degree < p^(n-1)
-        self.idem = []
-        self.idem_den_exp = []
-        for m in range(n):
-            q = {0: 1}
-            for m2 in range(n):
-                if m2 == m:
-                    continue
-                q = _poly_mul_int(q, _phi_int_poly(p, m2))
-            lift = self.inv_prod[m].coeffs
-            poly = [PadicScalar.zero(p, N)] * cols
-            for e, c in q.items():
-                for i, sc in enumerate(lift):
-                    if sc.is_zero():
-                        continue
-                    k = (e + i) % cols
-                    poly[k] = poly[k] + sc * c
-            self.idem.append(tuple(poly))
-            vals = [c.v for c in poly if not c.is_zero()]
-            self.idem_den_exp.append(max(0, -min(vals)) if vals else 0)
-        # each e_m as a grid on the trivial torsion row, ready for the kernel
-        pad = [PadicScalar.zero(p, N)] * ((p - 2) * cols)
-        self.idem_legs = [_leg(list(e) + pad, p - 1, cols) for e in self.idem]
+        self.idem_den_exp = [n - 1] + [n - m for m in range(1, n)]
+        self.idem_num = [[1] * cols] + [
+            [p * (j % p**m == 0) - (j % p ** (m - 1) == 0) for j in range(cols)]
+            for m in range(1, n)
+        ]
 
+    def _idem_leg(self, m, K):
+        """e_m on the trivial torsion row, each coefficient carried at K digits."""
+        p, den = self.p, self.p ** self.idem_den_exp[m]
+        e = [PadicScalar.from_rational(c, den, p, K) for c in self.idem_num[m]]
+        return _leg(e + [PadicScalar.zero(p, K)] * ((p - 2) * len(e)), p - 1, len(e))
 
     # -- operations ----------------------------------------------------------
 
@@ -675,10 +624,13 @@ class CrtContext:
         """Grid of sum_m (slot rows of m) * e_m, zero coefficients at N.
 
         `terms` pairs m with p-1 base coefficient rows (one per torsion
-        index) of length at most p^(n-1).
+        index) of length at most p^(n-1).  Each e_m is carried at the
+        largest relative precision among the rows, so the product's digits
+        are capped by the rows alone.
         """
         p, R, C = self.p, self.p - 1, self.p ** (self.n - 1)
         zero = PadicScalar.zero(p, N)
+        K = _widest(terms)
 
         def leg(rows):
             flat = []
@@ -687,16 +639,16 @@ class CrtContext:
                 flat.extend([zero] * (C - len(row)))
             return _leg(flat, R, C)
 
-        convs = [_convolve(leg(rows), self.idem_legs[m], R, C) for m, rows in terms]
+        convs = [_convolve(leg(rows), self._idem_leg(m, K), R, C) for m, rows in terms]
         return _unflat(_scalars(p, convs, zero, R * C), C)
 
     def reconstruct(self, comps, s=None) -> GroupRingElem:
         """Inverse of decompose; with alpha^2 = s, comps is the pair of legs."""
-        legs = (comps,) if s is None else comps
-        grids = (
-            self._times_idem([(m, [slot.coeffs for slot in c[m]]) for m in range(self.n)], self.N)
-            for c in legs
-        )
+        terms = [
+            [(m, [slot.coeffs for slot in c[m]]) for m in range(self.n)]
+            for c in ((comps,) if s is None else comps)
+        ]
+        grids = (self._times_idem(t, _widest(t)) for t in terms)
         return GroupRingElem(self.p, self.n, *grids, s=s)
 
     def divide_exact(self, f: GroupRingElem, m: int) -> GroupRingElem:
@@ -781,26 +733,15 @@ class CrtContext:
         return self.reconstruct(out)
 
 
-def _poly_mul_int(a: dict, b: dict) -> dict:
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            k = e1 + e2
-            out[k] = out.get(k, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
-
-
 _CONTEXTS: dict[tuple, CrtContext] = {}
 
 
 def crt_context(p: int, n: int, N: int) -> CrtContext:
     if N < n + 10:
         raise PrecisionExhausted(f"CRT at level {n} needs N >= {n + 10}")
-    key = (p, n)
-    ctx = _CONTEXTS.get(key)
-    if ctx is None or ctx.N < N:
-        ctx = CrtContext(p, n, max(N, 40))
-        _CONTEXTS[key] = ctx
+    ctx = _CONTEXTS.get((p, n))
+    if ctx is None:
+        ctx = _CONTEXTS[(p, n)] = CrtContext(p, n)
     return ctx
 
 

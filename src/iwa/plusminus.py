@@ -187,7 +187,8 @@ def _twisted_unit_inverse(params: HalfLogParams, sign: str, N: int):
     work = max(N, 40) + 4 * n + 8
     key = (p, n, k, sign)
     hit = _UNIT_INV_CACHE.get(key)
-    if hit is not None and hit[0] >= work:
+    # a hit on an inverse built wider would change the caller's digits
+    if hit is not None and hit[0] == work:
         return hit[1]
     base = omega_tilde(p, n, sign, work)
     unit = twist_gamma(base, 1)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from iwa import groupring
 from iwa.cyclotomic import CharacterSpec, CyclotomicScalar, eval_char, primitive_root
 from iwa.errors import (
     BadLevel,
@@ -26,7 +27,6 @@ from iwa.groupring import (
     phi_twisted,
     random_element,
     slot_is_zero,
-    twist_full,
     twist_gamma,
 )
 from iwa.padic import PadicScalar, QuadExtScalar, teichmuller
@@ -240,18 +240,23 @@ def test_twists_multiplicative_mod_pn():
     g = random_element(p, n, N, rng)
     d1 = twist_gamma(f * g, 2) - twist_gamma(f, 2) * twist_gamma(g, 2)
     assert d1.is_zero() or d1.min_valuation() >= n
-    d2 = twist_full(f * g, 1) - twist_full(f, 1) * twist_full(g, 1)
-    assert d2.is_zero() or d2.min_valuation() >= n
-    assert twist_full(f, 0) == f
 
 
 def test_twist_full_matches_twisted_evaluation():
+    # twisting by the r-th power of the cyclotomic character scales the
+    # coefficient at (a, j) by omega(g)^(r a) u^(r j), u = 1 + p
     rng = SplitMix64(9)
     p, n, N = 3, 3, 30
     f = random_element(p, n, N, rng)
+    w = teichmuller(primitive_root(p), p, N)
+    u = PadicScalar.from_int(1 + p, p, N)
     for d, m, e, r in [(1, 1, 1, 1), (0, 2, 2, 2), (1, 0, 1, 1)]:
+        twisted = GroupRingElem(p, n, [
+            [c * w ** (r * a % (p - 1)) * u ** (r * j) for j, c in enumerate(row)]
+            for a, row in enumerate(f.coeffs)
+        ])
         lhs = eval_char(f, CharacterSpec(d, m, e, r))
-        rhs = eval_char(twist_full(f, r), CharacterSpec(d, m, e, 0))
+        rhs = eval_char(twisted, CharacterSpec(d, m, e, 0))
         assert lhs == rhs
 
 
@@ -302,11 +307,52 @@ def test_divisibility_agrees_with_slot_vanishing():
 
 def test_crt_roundtrip_random():
     rng = SplitMix64(15)
-    for p, n in [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]:
+    for p, n in [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3)]:
         for _ in range(6):
             f = random_element(p, n, 40, rng)
             back = crt_context(p, n, 40).reconstruct(crt_decompose(f))
             assert back == f
+            assert all(c.N >= 30 for row in back.coeffs for c in row if c.u)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 4), (3, 5), (5, 3), (7, 3)])
+def test_crt_idempotents_closed_form(p, n):
+    # e_m is what reconstruct makes of 1 in slot m (trivial torsion row)
+    N = 40
+    ctx = crt_context(p, n, N)
+    assert ctx.idem_den_exp == [n - 1] + [n - m for m in range(1, n)]
+    one, zero = PadicScalar.one(p, N), PadicScalar.zero(p, N)
+
+    def unit_slots(m):
+        return [
+            [CyclotomicScalar.from_scalar(one if (L, a) == (m, 0) else zero, L) for a in range(p - 1)]
+            for L in range(n)
+        ]
+
+    idem = [ctx.reconstruct(unit_slots(m)) for m in range(n)]
+    total = idem[0]
+    for m, e in enumerate(idem):
+        assert e.min_valuation() == -ctx.idem_den_exp[m]
+        comps = ctx.decompose(e)
+        for L in range(n):
+            for a in range(p - 1):
+                want = one if (L, a) == (m, 0) else zero
+                assert comps[L][a] == CyclotomicScalar.from_scalar(want, L)
+        assert e * e == e
+        if m:
+            total = total + e
+    assert total == GroupRingElem.one(p, n, N)
+
+
+def test_divide_exact_independent_of_earlier_contexts(monkeypatch):
+    # a context requested at a higher precision leaves quotients unchanged
+    monkeypatch.setattr(groupring, "_CONTEXTS", {})
+    N = 40
+    for p, n, m, seed in [(3, 4, 2, 1), (3, 4, 3, 2), (7, 3, 2, 4)]:
+        f = random_element(p, n, N, SplitMix64(seed)) * phi(p, n, m, N)
+        before = divide_exact(f, m)
+        crt_context(p, n, 64)
+        assert divide_exact(f, m).identical(before)
 
 
 def test_crt_needs_headroom():

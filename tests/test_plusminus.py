@@ -1,5 +1,6 @@
 """Signed decomposition: compose/decompose round trips and admissibility."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,44 @@ def test_twisted_unit_inverse_built_once_per_sign(monkeypatch):
         decompose(compose(A, B, params, alpha))
     # both signs have a twisted factor at n = 3: one inverse each
     assert len(builds) == 2
+
+
+def test_decompose_independent_of_earlier_precision(monkeypatch):
+    # a twisted-unit inverse cached by a wider call is not reused by a
+    # narrower one, whose digits would then depend on that call
+    monkeypatch.setattr(plusminus, "_UNIT_INV_CACHE", {})
+    p, n, k = 7, 3, 3
+    params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
+
+    def run(N):
+        alpha = make_alpha(p, k, 1, N)
+        rng = SplitMix64(3)
+        A = random_element(p, n, N, rng).to_quad(alpha.s)
+        B = random_element(p, n, N, rng).to_quad(alpha.s)
+        return json.dumps(decompose(compose(A, B, params, alpha)).to_json(), sort_keys=True)
+
+    fresh = run(40)
+    run(90)
+    assert run(40) == fresh
+
+
+def test_recomposed_pair_decomposes_again_at_level_five():
+    # the first decompose keeps about 30 of the 40 digits, and this input's
+    # recomposed pair keeps enough for a second one; on other inputs the
+    # second quotient chain still falls below the CRT floor and raises
+    # PrecisionExhausted
+    p, n, k, N = 3, 5, 2, 40
+    alpha = make_alpha(p, k, 1, N)
+    params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
+    rng = SplitMix64(41)
+    A = random_element(p, n, N, rng).to_quad(alpha.s)
+    B = random_element(p, n, N, rng).to_quad(alpha.s)
+    dec = decompose(compose(A, B, params, alpha))
+    pair = compose(dec.Lplus, dec.Lminus, params, alpha)
+    again = decompose(pair)
+    back = compose(again.Lplus, again.Lminus, params, alpha)
+    assert back.L1 == pair.L1
+    assert back.L2 == pair.L2
 
 
 def test_plus_component_stays_in_base_field():
