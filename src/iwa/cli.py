@@ -3,8 +3,9 @@
 Every command reads and writes JSON with sorted keys, so a fixed
 (arguments, seed, input) triple produces bit-identical output across runs.
 Exit codes: 0 success, 1 a verification or admissibility report failed,
-2 not divisible / not decomposable, 3 unbounded component, 64 malformed
-input or arguments, 70 internal error.
+2 not divisible / not decomposable, 3 unbounded component, 4 input lacks the
+digits this computation needs, 64 malformed input or arguments, 70 internal
+error.
 """
 
 import argparse
@@ -19,6 +20,7 @@ from .errors import (
     MalformedInput,
     NotDecomposable,
     NotDivisible,
+    PrecisionExhausted,
     UnboundedResult,
 )
 from .groupring import GroupRingElem, divide_exact
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_REPORT_FAILED = 1
 EXIT_NOT_DIVISIBLE = 2
 EXIT_UNBOUNDED = 3
+EXIT_PRECISION = 4
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
@@ -308,6 +311,9 @@ def main(argv=None) -> int:
     except UnboundedResult as exc:
         sys.stderr.write(f"iwa: {exc}\n")
         return EXIT_UNBOUNDED
+    except PrecisionExhausted as exc:
+        sys.stderr.write(f"iwa: {exc}\n")
+        return EXIT_PRECISION
     except IwaError as exc:
         sys.stderr.write(f"iwa: {exc}\n")
         return EXIT_INTERNAL

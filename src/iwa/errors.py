@@ -57,10 +57,6 @@ class BadIndex(IwaError):
     """Index outside the declared range."""
 
 
-class HypothesisViolated(IwaError):
-    """Input violates the hypothesis under which a conclusion is asserted."""
-
-
 class NotDecomposable(IwaError):
     """Pair fails the divisibility required by the signed decomposition."""
 

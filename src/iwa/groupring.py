@@ -187,7 +187,7 @@ def _scalars(p, parts, zero, size):
             continue
         t = s % p ** (cap - e)
         if not t:
-            out.append(zero)
+            out.append(PadicScalar.zero(p, zero.N, cap))
             continue
         v = 0
         while t % p == 0:
@@ -751,8 +751,6 @@ def crt_decompose(f: GroupRingElem):
 
 def divide_exact(f: GroupRingElem, m: int) -> GroupRingElem:
     if m >= f.n:
-        if m < 1:
-            raise BadIndex("phi index must be >= 1")
         return f.shift_p(-1)
     return crt_context(f.p, f.n, f.N).divide_exact(f, m)
 

@@ -1,10 +1,12 @@
 """Capped relative-precision p-adic scalars and a quadratic extension.
 
 A nonzero scalar is stored as u * p^v with u a unit known modulo p^N, so it
-carries N significant base-p digits regardless of its valuation v.  Zero is a
-sentinel with valuation +infinity.  Addition aligns valuations and pays for
-cancellation out of the relative precision; when every tracked digit cancels
-the result is reported as zero at precision.
+carries N significant base-p digits regardless of its valuation v.  A zero
+(u = 0) is known modulo p^v: v = +infinity is an exact zero, a finite v the
+zero O(p^v) that remains when every certified digit cancels (Caruso,
+"Computations with p-adic numbers", arXiv:1701.06794).  Addition aligns
+valuations and pays for cancellation out of the relative precision; adding
+O(p^A) reduces the other operand mod p^A, and O(p^A) times x is O(p^(A+v(x))).
 Unit arithmetic modulo p^N is exact, so equal quantities computed along
 different routes produce identical digits.
 
@@ -61,9 +63,7 @@ class PadicScalar:
     def __init__(self, p: int, v, u: int, N: int):
         if N < 1:
             raise InvalidParameter("N must be >= 1")
-        if u == 0:
-            v = INF
-        elif u % p == 0 or not 0 < u < p**N:
+        if u and (u % p == 0 or not 0 < u < p**N):
             raise InvalidParameter("unit digits must be a reduced unit mod p^N")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "v", v)
@@ -76,8 +76,9 @@ class PadicScalar:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, p: int, N: int) -> "PadicScalar":
-        return cls(p, INF, 0, N)
+    def zero(cls, p: int, N: int, A=INF) -> "PadicScalar":
+        """Zero known modulo p^A; exact for A = +inf."""
+        return cls(p, A, 0, N)
 
     @classmethod
     def one(cls, p: int, N: int) -> "PadicScalar":
@@ -109,25 +110,24 @@ class PadicScalar:
     def is_zero(self) -> bool:
         return self.u == 0
 
-    @property
-    def valuation(self):
-        """v_p, with +inf for (reported) zero."""
-        return self.v
-
     def abs_precision(self):
         """The modulus exponent: this scalar is known modulo p^abs_precision."""
-        return self.v + self.N
+        return self.v + self.N if self.u else self.v
 
     def truncate(self, N: int) -> "PadicScalar":
         if N >= self.N:
             return self
-        if self.is_zero():
-            return PadicScalar.zero(self.p, N)
-        u = self.u % self.p**N
-        if u == 0:
-            # every surviving digit was above the new cap
-            return PadicScalar.zero(self.p, N)
-        return PadicScalar(self.p, self.v, u, N)
+        return PadicScalar(self.p, self.v, self.u % self.p**N, N)
+
+    def _mod(self, A, N: int) -> "PadicScalar":
+        """This scalar modulo p^A, with at most N relative digits."""
+        if A == INF:
+            return self.truncate(N)
+        if self.v >= A:
+            return PadicScalar(self.p, A, 0, N)
+        if self.u:
+            N = min(N, A - self.v)
+        return self.truncate(N)
 
     def _check_compatible(self, other: "PadicScalar") -> None:
         if self.p != other.p:
@@ -138,10 +138,10 @@ class PadicScalar:
     def add(self, other: "PadicScalar") -> "PadicScalar":
         self._check_compatible(other)
         N = min(self.N, other.N)
-        if self.is_zero():
-            return other.truncate(N)
-        if other.is_zero():
-            return self.truncate(N)
+        if not self.u:
+            return other._mod(self.v, N)
+        if not other.u:
+            return self._mod(other.v, N)
         p = self.p
         vmin = min(self.v, other.v)
         abs_prec = min(self.abs_precision(), other.abs_precision())
@@ -149,7 +149,7 @@ class PadicScalar:
         mod = p**room
         t = (self.u * p ** (self.v - vmin) + other.u * p ** (other.v - vmin)) % mod
         if t == 0:
-            return PadicScalar.zero(p, N)
+            return PadicScalar(p, abs_prec, 0, N)
         extra = int_valuation(t, p)
         v = vmin + extra
         return PadicScalar(p, v, t // p**extra, abs_prec - v)
@@ -185,8 +185,8 @@ class PadicScalar:
             return NotImplemented
         self._check_compatible(other)
         N = min(self.N, other.N)
-        if self.is_zero() or other.is_zero():
-            return PadicScalar.zero(self.p, N)
+        if not (self.u and other.u):
+            return PadicScalar(self.p, self.v + other.v, 0, N)
         return PadicScalar(self.p, self.v + other.v, self.u * other.u % self.p**N, N)
 
     __rmul__ = __mul__
@@ -201,14 +201,12 @@ class PadicScalar:
             return self.inv() ** (-e)
         if e == 0:
             return PadicScalar.one(self.p, self.N)
-        if self.is_zero():
-            return self
         mod = self.p**self.N
         return PadicScalar(self.p, self.v * e, pow(self.u, e, mod), self.N)
 
     def shift(self, k: int) -> "PadicScalar":
         """Multiply by p^k: exact, relative precision unchanged."""
-        if self.is_zero():
+        if self.v == INF:
             return self
         return PadicScalar(self.p, self.v + k, self.u, self.N)
 
@@ -229,7 +227,8 @@ class PadicScalar:
 
     def __repr__(self):
         if self.is_zero():
-            return f"PadicScalar({self.p}, 0; N={self.N})"
+            zero = "0" if self.v == INF else f"O({self.p}^{self.v})"
+            return f"PadicScalar({self.p}, {zero}; N={self.N})"
         return f"PadicScalar({self.p}, {self.u}*{self.p}^{self.v}; N={self.N})"
 
     def to_json(self) -> dict:

@@ -10,7 +10,7 @@ so Lplus = (L1+L2) / (2 log+) and Lminus = (L1-L2) / (2 alpha log-).  The
 half-log splits as a p-power, the untwisted phi-factors (zero divisors,
 divided via the CRT slots), and the j >= 1 twisted factors, which are units
 of the group algebra because u^(-j) zeta is never a p-power root of unity;
-their inverses are cached per (p, n, k, sign).
+their inverse has a closed form and is built exactly at the caller's N.
 
 Quotients carry canonical zeroed slots, so they are coset representatives:
 re-multiplying by the corresponding half-log reproduces the input exactly.
@@ -31,14 +31,7 @@ from .errors import (
     ShapeMismatch,
     UnboundedResult,
 )
-from .groupring import (
-    GroupRingElem,
-    crt_context,
-    divide_exact,
-    divisible_by_phi,
-    invert_unit,
-    twist_gamma,
-)
+from .groupring import GroupRingElem, crt_context, divide_exact, divisible_by_phi
 from .halflogs import (
     MINUS,
     PLUS,
@@ -46,7 +39,6 @@ from .halflogs import (
     denominator_exponent,
     factor_indices,
     log_trunc,
-    omega_tilde,
 )
 from .padic import PadicScalar, QuadExtScalar, half_val_fraction
 
@@ -173,30 +165,40 @@ def _signed(params: HalfLogParams, sign: str) -> HalfLogParams:
     return HalfLogParams(params.p, params.k, params.n, sign, params.eps)
 
 
-# (p, n, k, sign) -> (working precision, inverse)
-_UNIT_INV_CACHE: dict[tuple, tuple] = {}
-
-
 def _twisted_unit_inverse(params: HalfLogParams, sign: str, N: int):
-    """Cached inverse of prod_{j=1..k-2} twist_j(omega_tilde); None if empty."""
+    """Inverse of prod_{j=1..k-2} twist_j(omega_tilde), exact to N digits; None if empty.
+
+    With Y = u^-j gamma, u = 1 + p and P = p^(n-1), Y^P is the scalar
+    c = u^(-jP), so each factor phi_s(Y) = (Y^(p^s) - 1)/(Y^(p^(s-1)) - 1)
+    has inverse (Y^(p^(s-1)) - 1) sum_{i < p^(n-1-s)} Y^(i p^s) / (c - 1).
+    With numerator and denominator multiplied by u^(jP), that is an integer
+    polynomial in gamma of degree below P over the integer 1 - u^(jP); the
+    whole inverse is the cyclic product of those polynomials over the
+    product of those integers, converted once per coefficient.
+    """
     p, n, k = params.p, params.n, params.k
-    if k == 2 or not factor_indices(n, sign):
+    indices = factor_indices(n, sign)
+    if k == 2 or not indices:
         return None
-    # headroom: the inversion itself spends digits on slot denominators,
-    # and the quotient chain downstream spends more
-    work = max(N, 40) + 4 * n + 8
-    key = (p, n, k, sign)
-    hit = _UNIT_INV_CACHE.get(key)
-    # a hit on an inverse built wider would change the caller's digits
-    if hit is not None and hit[0] == work:
-        return hit[1]
-    base = omega_tilde(p, n, sign, work)
-    unit = twist_gamma(base, 1)
-    for j in range(2, k - 1):
-        unit = unit * twist_gamma(base, j)
-    inv = invert_unit(unit)
-    _UNIT_INV_CACHE[key] = (work, inv)
-    return inv
+    u, P = 1 + p, p ** (n - 1)
+    num, den = [1] + [0] * (P - 1), 1
+    for j in range(1, k - 1):
+        for s in indices:
+            q, step = p ** (s - 1), p**s
+            # u^(jP) (Y^(e + q) - Y^e) for e = i p^s
+            factor = []
+            for e in range(0, P, step):
+                factor += [(e + q, u ** (j * (P - e - q))), (e, -(u ** (j * (P - e))))]
+            prod = [0] * P
+            for r, c in enumerate(num):
+                if c:
+                    for e, t in factor:
+                        prod[(r + e) % P] += c * t
+            num = prod
+            den *= 1 - u ** (j * P)
+    zero = PadicScalar.zero(p, N)
+    row = [PadicScalar.from_rational(c, den, p, N) for c in num]
+    return GroupRingElem(p, n, [row] + [[zero] * P for _ in range(p - 2)])
 
 
 def compose(Lplus, Lminus, params: HalfLogParams, alpha: QuadExtScalar) -> AdmissiblePair:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import phi_degree, primitive_root
-from .errors import BadIndex, HypothesisViolated, InvalidParameter
+from .errors import BadIndex, InvalidParameter
 from .halflogs import MINUS, PLUS
 from .padic import check_odd_prime
 
@@ -132,9 +132,6 @@ class CycRationalElem:
 
     def is_zero(self):
         return not any(self.coeffs)
-
-    def is_rational(self):
-        return not any(self.coeffs[1:])
 
     # -- Galois and level moves -------------------------------------------
 
@@ -375,45 +372,6 @@ def _pick_basis(p, n, vectors, rank, constraint) -> SubspaceBasis:
     picked = tuple(vectors[i] for i in idx)
     assert len(picked) == rank
     return SubspaceBasis(picked, rank, constraint)
-
-
-def corollary_gen_span(p: int, n: int, a) -> SubspaceBasis:
-    """Orbit span of a0 + sum a_i zeta_{p^i}, checked against its prediction.
-
-    Requires a1 != (p-1) a0; on equality the predicted description can fail,
-    so the computation refuses rather than asserting anything.
-    """
-    a = [Fraction(q) for q in a]
-    if len(a) != n + 1:
-        raise InvalidParameter("need one coefficient per tower level")
-    if n >= 1 and a[1] == (p - 1) * a[0]:
-        raise HypothesisViolated("a1 = (p-1) a0 breaks the spanning hypothesis")
-    x = CycRationalElem.rational(p, n, a[0])
-    for i in range(1, n + 1):
-        if a[i]:
-            x = x + CycRationalElem.root(p, i, 1).embed(n).scale(a[i])
-    orbit = galois_orbit(x)
-    predicted = [CycRationalElem.one(p, n)]
-    for r in range(1, n + 1):
-        if a[r]:
-            predicted.extend(galois_orbit(CycRationalElem.root(p, r, 1).embed(n)))
-    orbit_rows = [y.coeffs for y in orbit]
-    pred_rows = [y.coeffs for y in predicted]
-    r1 = rank_of_vectors(orbit_rows)
-    r2 = rank_of_vectors(pred_rows)
-    r12 = rank_of_vectors(orbit_rows + pred_rows)
-    if not (r1 == r2 == r12):
-        raise InvalidParameter(
-            f"orbit span ({r1}) disagrees with constants plus root orbits "
-            f"({r2}, union {r12})"
-        )
-    return _pick_basis(
-        p, n, orbit, r1, f"orbit span of sum a_i zeta(p^i), S={_support(a)}"
-    )
-
-
-def _support(a):
-    return tuple(i for i, q in enumerate(a) if q)
 
 
 def _tower_step_generator(p: int, m: int) -> int:

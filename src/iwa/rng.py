@@ -49,6 +49,3 @@ class SplitMix64:
 
     def randrange(self, lo: int, hi: int) -> int:
         return lo + self.randbelow(hi - lo)
-
-    def choice(self, seq):
-        return seq[self.randbelow(len(seq))]

@@ -49,6 +49,21 @@ def test_decompose_rejects_indivisible_pair(tmp_path, capsys):
     assert main(["decompose", "--in", str(path)]) == 2
 
 
+def test_decompose_without_enough_digits_exits_4(tmp_path, capsys):
+    # at p=3 n=4 k=6 the quotient chain leaves 13 digits and compose needs
+    # more than 15: a shortfall of digits, not an internal error
+    p, n, k = 3, 4, 6
+    rng = SplitMix64(1)
+    alpha = make_alpha(p, k, 1, N)
+    params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
+    A = random_element(p, n, N, rng).to_quad(alpha.s)
+    B = random_element(p, n, N, rng).to_quad(alpha.s)
+    path = tmp_path / "pair_k6.json"
+    path.write_text(json.dumps(compose(A, B, params, alpha).to_json()))
+    assert main(["decompose", "--in", str(path)]) == 4
+    assert "composing them back needs more than 15" in capsys.readouterr().err
+
+
 def test_decompose_floor(tmp_path):
     pair, params, alpha = make_pair()
     low = AdmissiblePair(pair.L1.shift_p(-8), pair.L2.shift_p(-8), params, alpha)

@@ -97,6 +97,32 @@ def test_add_never_overclaims_absolute_precision():
                 assert s.v == min(a.v, b.v)
 
 
+def test_zero_keeps_absolute_precision():
+    p = 3
+    # full cancellation leaves 0 mod 3^5, not an exact zero
+    z = PadicScalar.from_int(121, p, 5) + PadicScalar.from_int(122, p, 5)
+    assert z.is_zero() and z.abs_precision() == 5
+    assert PadicScalar.zero(p, 5).abs_precision() == INF
+    o2 = PadicScalar.zero(p, 6, 2)  # 0 + O(3^2)
+    # 0 + O(3^2) - 3^3 is zero: 3^3 is invisible mod 3^2
+    d = o2 - PadicScalar.from_int(27, p, 6)
+    assert d.is_zero() and d.abs_precision() == 2
+    # 0 + O(3^2) + 4 is 4 mod 3^2: two digits left
+    s = o2 + PadicScalar.from_int(4, p, 6)
+    assert (s.v, s.u, s.N) == (0, 4, 2)
+    # (0 + O(3^2)) * 3^-1 is O(3^1); times 3^2 * 5 it is O(3^4)
+    q = o2 * PadicScalar.from_rational(1, 3, p, 6)
+    assert q.is_zero() and q.abs_precision() == 1
+    assert (o2 * PadicScalar.from_int(45, p, 6)).abs_precision() == 4
+    assert (o2 * o2).abs_precision() == 4
+    assert (o2 * PadicScalar.zero(p, 6)).abs_precision() == INF
+    assert o2.shift(-3).abs_precision() == -1
+    assert o2.truncate(3).abs_precision() == 2
+    # zeros combine to the weaker precision
+    assert (o2 + PadicScalar.zero(p, 6, 4)).abs_precision() == 2
+    assert (o2 + PadicScalar.zero(p, 6)).abs_precision() == 2
+
+
 def test_inverse_matches_extended_gcd():
     # inv(4) mod 3^4 = 61 since 4*61 = 244 = 3*81 + 1
     x = PadicScalar.from_int(4, 3, 4)

@@ -12,9 +12,8 @@ from iwa.errors import (
     ShapeMismatch,
     UnboundedResult,
 )
-from iwa import plusminus
-from iwa.groupring import GroupRingElem, invert_unit, random_element
-from iwa.halflogs import MINUS, PLUS, HalfLogParams, log_trunc
+from iwa.groupring import GroupRingElem, random_element, twist_gamma
+from iwa.halflogs import MINUS, PLUS, HalfLogParams, factor_indices, log_trunc, omega_tilde
 from iwa.padic import PadicScalar, half_val_fraction
 from iwa.plusminus import (
     AdmissiblePair,
@@ -25,6 +24,7 @@ from iwa.plusminus import (
     make_alpha,
     pm_from_json,
     _signed,
+    _twisted_unit_inverse,
 )
 from iwa.rng import SplitMix64
 
@@ -159,34 +159,8 @@ def test_decompose_refuses_components_too_thin_to_recompose():
         decompose(compose(A, B, params, alpha))
 
 
-def test_twisted_unit_inverse_built_once_per_sign(monkeypatch):
-    # at p=7 n=3 k=3 the plus inverse keeps 22 digits while later calls ask
-    # for more; the cache compares working precisions, which are equal, so
-    # a second decompose builds nothing
-    builds = []
-
-    def counting(u):
-        builds.append(u)
-        return invert_unit(u)
-
-    monkeypatch.setattr(plusminus, "invert_unit", counting)
-    monkeypatch.setattr(plusminus, "_UNIT_INV_CACHE", {})
-    p, n, k, N = 7, 3, 3, 40
-    alpha = make_alpha(p, k, 1, N)
-    params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
-    rng = SplitMix64(3)
-    for _ in range(2):
-        A = random_element(p, n, N, rng).to_quad(alpha.s)
-        B = random_element(p, n, N, rng).to_quad(alpha.s)
-        decompose(compose(A, B, params, alpha))
-    # both signs have a twisted factor at n = 3: one inverse each
-    assert len(builds) == 2
-
-
-def test_decompose_independent_of_earlier_precision(monkeypatch):
-    # a twisted-unit inverse cached by a wider call is not reused by a
-    # narrower one, whose digits would then depend on that call
-    monkeypatch.setattr(plusminus, "_UNIT_INV_CACHE", {})
+def test_decompose_independent_of_earlier_precision():
+    # a wider call leaves nothing behind that changes a narrower one's digits
     p, n, k = 7, 3, 3
     params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
 
@@ -200,6 +174,51 @@ def test_decompose_independent_of_earlier_precision(monkeypatch):
     fresh = run(40)
     run(90)
     assert run(40) == fresh
+
+
+@pytest.mark.parametrize(
+    "p, n, k",
+    [(3, 2, 3), (3, 3, 5), (3, 4, 3), (3, 4, 6), (3, 5, 3), (3, 5, 4), (3, 5, 6),
+     (5, 3, 3), (5, 3, 4), (7, 3, 3)],
+)
+def test_twisted_unit_inverse_closed_form(p, n, k):
+    # the closed form times the unit built factor by factor is 1, and the
+    # inverse keeps every digit asked for: at N=40 it is the N=200 one cut
+    params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
+    for sign in (PLUS, MINUS):
+        inv = _twisted_unit_inverse(params, sign, 200)
+        if not factor_indices(n, sign):
+            assert inv is None
+            continue
+        base = omega_tilde(p, n, sign, 300)
+        unit = twist_gamma(base, 1)
+        for j in range(2, k - 1):
+            unit = unit * twist_gamma(base, j)
+        assert unit * inv == GroupRingElem.one(p, n, 200)
+        assert inv.N == 200
+        narrow = _twisted_unit_inverse(params, sign, 40)
+        assert narrow.N == 40
+        assert narrow == inv
+
+
+@pytest.mark.parametrize("k, seeds", [(3, (8, 25)), (4, (252, 359))])
+def test_round_trip_at_level_five(k, seeds):
+    # at seeds 8, 252 and 359 the recomposed pair has coefficients that
+    # cancel to zero at or below the pair's valuation there (O(3) against
+    # 3^3 u at seed 8, O(3^-3) against 3^-3 u at seed 252): the two agree
+    # only because such a zero keeps its absolute precision
+    p, n, N = 3, 5, 40
+    alpha = make_alpha(p, k, 1, N)
+    params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
+    for seed in seeds:
+        rng = SplitMix64(seed)
+        A = random_element(p, n, N, rng).to_quad(alpha.s)
+        B = random_element(p, n, N, rng).to_quad(alpha.s)
+        pair = compose(A, B, params, alpha)
+        dec = decompose(pair)
+        back = compose(dec.Lplus, dec.Lminus, params, alpha)
+        assert back.L1 == pair.L1
+        assert back.L2 == pair.L2
 
 
 def test_recomposed_pair_decomposes_again_at_level_five():

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from iwa.errors import BadIndex, HypothesisViolated, InvalidParameter
+from iwa.errors import BadIndex, InvalidParameter
 from iwa.halflogs import MINUS, PLUS
 from iwa.qpn import (
     CycRationalElem,
     SubspaceBasis,
-    corollary_gen_span,
     dim_graded,
     dim_minus_formula,
     dim_plus_formula,
@@ -165,19 +164,6 @@ def test_pi_orbits_are_independent():
         rows.extend(y.coeffs for y in galois_orbit(pi_element(p, n, i)))
     total = rank_of_vectors(rows)
     assert total == sum(dim_graded(p, i) for i in range(n + 1))
-
-
-def test_corollary_gen_span():
-    one_only = corollary_gen_span(3, 2, (1, 1, 0))
-    assert one_only.rank == 2
-    full = corollary_gen_span(3, 2, (1, 1, 1))
-    assert full.rank == 6
-    with pytest.raises(HypothesisViolated):
-        corollary_gen_span(3, 2, (1, 2, 1))
-    with pytest.raises(HypothesisViolated):
-        corollary_gen_span(3, 2, (0, 0, 1))
-    with pytest.raises(InvalidParameter):
-        corollary_gen_span(3, 2, (1, 1))
 
 
 def test_plus_minus_dimension_table():
