@@ -75,6 +75,10 @@ class RunConfig:
             raise MalformedInput(f"k must be at least 2, got {self.k}")
         if self.n < 1:
             raise MalformedInput(f"n must be at least 1, got {self.n}")
+        if self.N < 1:
+            raise MalformedInput(f"N must be at least 1, got {self.N}")
+        if self.eps % self.p == 0:
+            raise MalformedInput(f"eps must be a unit mod p, got {self.eps}")
 
 
 def _need_crt_margin(elem) -> None:
@@ -130,6 +134,7 @@ def _chars_sorted(locus) -> list:
 def cmd_decompose(cfg: RunConfig, floor: int) -> int:
     pair = AdmissiblePair.from_json(_read_json(cfg.inp), cfg.N)
     _need_crt_margin(pair.L1)
+    _need_crt_margin(pair.L2)
     pm = decompose(pair, floor=floor)
     _write_json(pm.to_json(), cfg.out)
     return EXIT_OK

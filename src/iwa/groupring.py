@@ -497,29 +497,6 @@ def phi(p: int, n: int, m: int, N: int) -> GroupRingElem:
     return GroupRingElem(p, n, grid)
 
 
-def phi_twisted(p: int, n: int, m: int, j: int, N: int) -> GroupRingElem:
-    """sum_i u^(-j i p^(m-1)) gamma^(i p^(m-1)) with u = 1 + p.
-
-    Substitutes gamma -> u^(-j) gamma before reducing gamma-exponents mod
-    p^(n-1); for m >= n the gamma-powers collapse and the element is the
-    scalar (u^(-j p^m) - 1)/(u^(-j p^(m-1)) - 1), a unit times p.
-    For m < n this agrees with twist_gamma(phi(m), j).
-    """
-    if m < 1:
-        raise BadIndex("phi is defined for m >= 1")
-    cols = p ** (n - 1)
-    step = p ** (m - 1)
-    uinv = PadicScalar.from_int(1 + p, p, N).inv()
-    w = uinv ** (j * step)
-    grid = [[PadicScalar.zero(p, N)] * cols for _ in range(p - 1)]
-    t = PadicScalar.one(p, N)
-    for i in range(p):
-        r = i * step % cols
-        grid[0][r] = grid[0][r] + t
-        t = t * w
-    return GroupRingElem(p, n, grid)
-
-
 def twist_gamma(f: GroupRingElem, j: int) -> GroupRingElem:
     """Ring automorphism gamma -> u^(-j) gamma, u = 1 + p; base elements."""
     w = PadicScalar.from_int(1 + f.p, f.p, f.N).inv() ** j

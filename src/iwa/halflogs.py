@@ -5,6 +5,10 @@ the plus element collects phi(s) for even s < n, the minus element for odd
 s < n, each normalized by 1/p; the weight-k truncation multiplies the k-1
 gamma-twists u^(-j)gamma for j = 0..k-2 and one more global 1/p per twist.
 
+Each factor phi_s(u^(-j) gamma) is an integer polynomial in gamma over a
+power of u = 1 + p; every product of such factors, or of their inverses, is
+one integer polynomial over one integer, converted once at the caller's N.
+
 Every factor is a polynomial in gamma of degree below p^(n-1) (the factor
 degrees sum to less than p^(n-1)), so per-factor character evaluation is
 exact.  Evaluating the assembled product at a twisted character (r >= 1) is
@@ -17,9 +21,9 @@ which realizes the product formula exactly and keeps the locus sharp.
 from dataclasses import dataclass
 
 from .cyclotomic import CharacterSpec, eval_char
-from .errors import InvalidParameter, PrecisionExhausted
-from .groupring import GroupRingElem, phi, phi_twisted, twist_gamma
-from .padic import check_odd_prime
+from .errors import BadIndex, InvalidParameter, PrecisionExhausted
+from .groupring import GroupRingElem
+from .padic import PadicScalar, check_odd_prime
 
 PLUS = "+"
 MINUS = "-"
@@ -62,22 +66,47 @@ def factor_indices(n: int, sign: str) -> tuple:
     return tuple(range(start, n, 2))
 
 
-def omega_tilde(p: int, n: int, sign: str, N: int) -> GroupRingElem:
-    """Product of the parity-matched phi(s) without the 1/p normalizations."""
-    out = GroupRingElem.one(p, n, N)
-    for s in factor_indices(n, sign):
-        out = out * phi(p, n, s, N)
-    return out
-
-
 def denominator_exponent(params: HalfLogParams) -> int:
     """Total power of p cleared by log_trunc: (k-1)(1 + #factors)."""
     c = len(factor_indices(params.n, params.sign))
     return (params.k - 1) * (1 + c)
 
 
+def _times_y(row, p, j, terms, top):
+    """(row * u^(j top) sum c Y^e over (e, c) in terms, u^(j top)), Y = u^(-j) gamma.
+
+    u = 1 + p; with top >= every e, u^(j top) Y^e = u^(j (top - e)) gamma^e
+    keeps an integer gamma-row mod gamma^len(row) - 1 integral.
+    """
+    P, u = len(row), 1 + p
+    factor = [(e % P, c * u ** (j * (top - e))) for e, c in terms]
+    out = [0] * P
+    for r, a in enumerate(row):
+        if a:
+            for e, c in factor:
+                out[(r + e) % P] += a * c
+    return out, u ** (j * top)
+
+
+def _phi_elem(p, n, factors, scale, N):
+    """prod phi_s(u^(-j) gamma) over (j, s) in factors, divided by scale, at N digits."""
+    row, den = [1] + [0] * (p ** (n - 1) - 1), scale
+    for j, s in factors:
+        q = p ** (s - 1)
+        row, c = _times_y(row, p, j, [(i * q, 1) for i in range(p)], (p - 1) * q)
+        den *= c
+    return _row_elem(p, n, row, den, N)
+
+
+def _row_elem(p, n, row, den, N):
+    """sum_r (row[r] / den) gamma^r at N digits, one conversion per coefficient."""
+    zero = PadicScalar.zero(p, N)
+    first = [PadicScalar.from_rational(c, den, p, N) for c in row]
+    return GroupRingElem(p, n, [first] + [[zero] * len(row)] * (p - 2))
+
+
 def log_trunc(params: HalfLogParams, N: int) -> GroupRingElem:
-    """Product of the twists j = 0..k-2 of omega_tilde, over p^denominator_exponent."""
+    """prod over j = 0..k-2 and s of phi_s(u^(-j) gamma), over p^denominator_exponent."""
     p, n = params.p, params.n
     # the result sits at valuation >= -den_exp; with N <= den_exp it would
     # certify nothing even mod p^0
@@ -85,11 +114,8 @@ def log_trunc(params: HalfLogParams, N: int) -> GroupRingElem:
         raise PrecisionExhausted(
             "not enough digits for the half-log denominators at this level"
         )
-    out = GroupRingElem.one(p, n, N)
-    base = omega_tilde(p, n, params.sign, N)
-    for j in range(params.k - 1):
-        out = out * twist_gamma(base, j)
-    return out.shift_p(-denominator_exponent(params))
+    factors = [(j, s) for j in range(params.k - 1) for s in factor_indices(n, params.sign)]
+    return _phi_elem(p, n, factors, p ** denominator_exponent(params), N)
 
 
 # -- zero locus ----------------------------------------------------------------
@@ -116,18 +142,12 @@ def zero_factor_counts(params: HalfLogParams, N: int) -> dict:
     zeros are simple precisely when every positive count equals 1.
     """
     p, n = params.p, params.n
-    pieces = {}
-    for j in range(params.k - 1):
-        for s in factor_indices(n, params.sign):
-            pieces[(j, s)] = twist_gamma(phi(p, n, s, N), j)
-    counts = {}
-    for chi in character_grid(p, n, params.k):
-        c = 0
-        for elem in pieces.values():
-            if eval_char(elem, chi).is_zero():
-                c += 1
-        counts[chi] = c
-    return counts
+    S = factor_indices(n, params.sign)
+    pieces = [_phi_elem(p, n, [(j, s)], 1, N) for j in range(params.k - 1) for s in S]
+    return {
+        chi: sum(1 for elem in pieces if eval_char(elem, chi).is_zero())
+        for chi in character_grid(p, n, params.k)
+    }
 
 
 def vanishing_locus(params: HalfLogParams, N: int) -> frozenset:
@@ -160,4 +180,6 @@ def saturated_twist_unit(p, n, m, j, N) -> GroupRingElem:
     first keeps the u-powers, and the result is a one-unit of the group
     algebra (j = 0 gives exactly 1).
     """
-    return phi_twisted(p, n, m, j, N).shift_p(-1)
+    if m < 1:
+        raise BadIndex("phi is defined for m >= 1")
+    return _phi_elem(p, n, [(j, m)], p, N)

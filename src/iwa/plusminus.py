@@ -36,6 +36,8 @@ from .halflogs import (
     MINUS,
     PLUS,
     HalfLogParams,
+    _row_elem,
+    _times_y,
     denominator_exponent,
     factor_indices,
     log_trunc,
@@ -166,39 +168,28 @@ def _signed(params: HalfLogParams, sign: str) -> HalfLogParams:
 
 
 def _twisted_unit_inverse(params: HalfLogParams, sign: str, N: int):
-    """Inverse of prod_{j=1..k-2} twist_j(omega_tilde), exact to N digits; None if empty.
+    """Inverse of prod_{j=1..k-2} prod_s phi_s(u^-j gamma), exact to N digits; None if empty.
 
     With Y = u^-j gamma, u = 1 + p and P = p^(n-1), Y^P is the scalar
     c = u^(-jP), so each factor phi_s(Y) = (Y^(p^s) - 1)/(Y^(p^(s-1)) - 1)
     has inverse (Y^(p^(s-1)) - 1) sum_{i < p^(n-1-s)} Y^(i p^s) / (c - 1).
-    With numerator and denominator multiplied by u^(jP), that is an integer
-    polynomial in gamma of degree below P over the integer 1 - u^(jP); the
-    whole inverse is the cyclic product of those polynomials over the
-    product of those integers, converted once per coefficient.
+    Times u^(jP) above and below, that is an integer polynomial in gamma
+    over the integer 1 - u^(jP); the whole inverse is the cyclic product of
+    those polynomials over the product of those integers.
     """
     p, n, k = params.p, params.n, params.k
     indices = factor_indices(n, sign)
     if k == 2 or not indices:
         return None
-    u, P = 1 + p, p ** (n - 1)
-    num, den = [1] + [0] * (P - 1), 1
+    P = p ** (n - 1)
+    row, den = [1] + [0] * (P - 1), 1
     for j in range(1, k - 1):
         for s in indices:
-            q, step = p ** (s - 1), p**s
-            # u^(jP) (Y^(e + q) - Y^e) for e = i p^s
-            factor = []
-            for e in range(0, P, step):
-                factor += [(e + q, u ** (j * (P - e - q))), (e, -(u ** (j * (P - e))))]
-            prod = [0] * P
-            for r, c in enumerate(num):
-                if c:
-                    for e, t in factor:
-                        prod[(r + e) % P] += c * t
-            num = prod
-            den *= 1 - u ** (j * P)
-    zero = PadicScalar.zero(p, N)
-    row = [PadicScalar.from_rational(c, den, p, N) for c in num]
-    return GroupRingElem(p, n, [row] + [[zero] * P for _ in range(p - 2)])
+            q = p ** (s - 1)
+            terms = [t for e in range(0, P, p * q) for t in ((e + q, 1), (e, -1))]
+            row, c = _times_y(row, p, j, terms, P)
+            den *= 1 - c
+    return _row_elem(p, n, row, den, N)
 
 
 def compose(Lplus, Lminus, params: HalfLogParams, alpha: QuadExtScalar) -> AdmissiblePair:

@@ -182,19 +182,22 @@ class CycRationalElem:
 
 
 def trace(x: CycRationalElem, m: int) -> CycRationalElem:
-    """Field trace from level n down to level m: sum over a = 1 mod p^m."""
+    """Field trace from level n down to level m, in closed form.
+
+    Over level m >= 1, zeta^i traces to p^(n-m) zeta^i if p^(n-m) | i, else
+    to 0.  Down to Q, zeta^i of order p traces to -p^(n-1), higher orders to 0.
+    """
     p, n = x.p, x.n
     if m > n or m < 0:
         raise BadIndex("trace target must satisfy 0 <= m <= n")
     if m == n:
         return x
-    acc = CycRationalElem.zero(p, n)
-    step = p**m
-    for a in range(1, p**n, step):
-        if a % p == 0:
-            continue
-        acc = acc + x.sigma(a)
-    return acc.to_level(m)
+    step = p ** (n - m)
+    if m:
+        return CycRationalElem(p, m, [step * c for c in x.coeffs[::step]])
+    top = p ** (n - 1)
+    total = phi_degree(p, n) * x.coeffs[0] - top * sum(x.coeffs[top::top])
+    return CycRationalElem.rational(p, 0, total)
 
 
 def pi_element(p: int, n: int, i: int) -> CycRationalElem:

@@ -50,7 +50,7 @@ def test_decompose_rejects_indivisible_pair(tmp_path, capsys):
 
 
 def test_decompose_without_enough_digits_exits_4(tmp_path, capsys):
-    # at p=3 n=4 k=6 the quotient chain leaves 13 digits and compose needs
+    # at p=3 n=4 k=6 this pair's quotient chain leaves 15 digits and compose needs
     # more than 15: a shortfall of digits, not an internal error
     p, n, k = 3, 4, 6
     rng = SplitMix64(1)
@@ -155,6 +155,9 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert main(["halflog", "--p", "3", "--k", "1", "--n", "2"]) == 64
     for p in ("1", "2", "9", "15"):
         assert main(["halflog", "--p", p, "--k", "2", "--n", "2"]) == 64
+    assert main(["halflog-zeros", "--p", "3", "--n", "4", "--N", "0"]) == 64
+    for eps in ("3", "0", "-6"):
+        assert main(["halflog", "--p", "3", "--n", "2", "--eps", eps]) == 64
 
 
 def test_low_precision_input_rejected_before_slot_arithmetic(tmp_path):
@@ -162,3 +165,10 @@ def test_low_precision_input_rejected_before_slot_arithmetic(tmp_path):
     path = tmp_path / "lowN.json"
     path.write_text(json.dumps(f.to_json()))
     assert main(["divide", "--in", str(path), "--m", "1"]) == 64
+    # either member of a pair may be the thin one
+    pair, params, alpha = make_pair()
+    thin = random_element(P, L, L + 9, SplitMix64(3)).to_quad(alpha.s)
+    for L1, L2 in ((thin, pair.L2), (pair.L1, thin)):
+        path = tmp_path / "thin_pair.json"
+        path.write_text(json.dumps(AdmissiblePair(L1, L2, params, alpha).to_json()))
+        assert main(["decompose", "--in", str(path)]) == 64

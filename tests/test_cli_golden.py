@@ -75,9 +75,9 @@ BASE_SHA256 = {
     "eval p=3 n=4 chi=(1,1,2,2)": "2f78cf31938efb6caa45e542d34e09b11d0286321d2fd836df0d7a76d1525a74",
     "eval p=5 n=3 chi=(2,1,3,0)": "7143359730d3e40ac5b3baae022ec4c706a3336e76696a9b7360607dd79abdd0",
     "eval p=5 n=3 chi=(3,2,7,1)": "d35cc00f4bbcae3cd129c7ef8edc0453fe349d132cfe68886d53e007fb2ff7d8",
-    "halflog p=3 n=4 k=3 plus": "5b2df1374240aa149e519b0305c47a076969b561b20e3537df9c1b5da9e1093f",
+    "halflog p=3 n=4 k=3 plus": "dbe62e33a6bd9d7fcd9eb7a7aeca4618e225769ca165d80991d96cfd1e22fb2a",
     "halflog p=3 n=4 k=2 minus": "5e19c8818b138e3487bea8edb0210eb28bf164e1155c795785f3cc5de200626f",
-    "halflog p=5 n=3 k=3 minus": "aee06bdc7b2a6b9d645b70f8540fdb2bb96d9c3b60bd928557b3c84ecb78cd4b",
+    "halflog p=5 n=3 k=3 minus": "8e7fa13b5ebf15005b3e57c9755ddc8b6fd6a48b95b136736437c78bc4076518",
     "halflog-zeros p=3 n=4 k=3 plus": "5ebb036c624676ab952595ab0e1a1bcaad30d10cf30eca42d15940ccec602fff",
     "halflog-zeros p=3 n=4 k=2 minus": "8dff48d57e773b9e4ce4b7f5b46ef289987adf557e1278d0b1f2c9d63e6fc4b5",
     "halflog-zeros p=5 n=3 k=3 minus": "9f355814ebc470586b517e9d75ee9d1c34c9a409460cd7e3e822a7ccfc78bff6",

@@ -24,11 +24,11 @@ from iwa.groupring import (
     divisible_by_phi,
     invert_unit,
     phi,
-    phi_twisted,
     random_element,
     slot_is_zero,
     twist_gamma,
 )
+from iwa.halflogs import saturated_twist_unit
 from iwa.padic import PadicScalar, QuadExtScalar, teichmuller
 from iwa.plusminus import make_alpha
 from iwa.rng import SplitMix64
@@ -206,14 +206,17 @@ def test_phi_support():
 
 
 def test_phi_twisted_matches_twist_below_level():
+    # phi(m) with gamma -> u^(-j) gamma, over p, is the twist of phi(m)/p
     for p, n, m, j in [(3, 3, 1, 1), (3, 3, 2, 2), (5, 2, 1, 1)]:
-        assert phi_twisted(p, n, m, j, 30) == twist_gamma(phi(p, n, m, 30), j)
+        got = saturated_twist_unit(p, n, m, j, 30)
+        assert got.identical(twist_gamma(phi(p, n, m, 30), j).shift_p(-1))
 
 
 def test_phi_twisted_at_saturated_index():
-    # gamma-powers collapse; the result is the geometric sum in u^(-j p^(m-1))
+    # gamma-powers collapse; the result is the geometric sum in u^(-j p^(m-1)),
+    # divisible by p, and its quotient by p keeps all N digits
     p, n, m, j, N = 3, 2, 2, 1, 25
-    f = phi_twisted(p, n, m, j, N)
+    f = saturated_twist_unit(p, n, m, j, N).shift_p(1)
     assert f.nnz() == 1
     mod = p**N
     uinv = pow(1 + p, -1, mod)
@@ -221,6 +224,7 @@ def test_phi_twisted_at_saturated_index():
     want = sum(pow(w, i, mod) for i in range(p)) % mod
     c = f.coeffs[0][0]
     assert c.u * pow(p, c.v, mod) % mod == want % mod
+    assert (c.v, c.N) == (1, N)
 
 
 def test_twist_gamma_composition_and_identity():

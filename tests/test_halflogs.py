@@ -1,5 +1,7 @@
 """Half-log products, their normalizations, and the parity zero law."""
 
+from fractions import Fraction
+
 import pytest
 
 from iwa.cyclotomic import CharacterSpec, CyclotomicScalar, eval_char
@@ -9,11 +11,11 @@ from iwa.halflogs import (
     MINUS,
     PLUS,
     HalfLogParams,
+    _phi_elem,
     character_grid,
     denominator_exponent,
     factor_indices,
     log_trunc,
-    omega_tilde,
     predicted_locus,
     saturated_twist_unit,
     vanishing_locus,
@@ -64,20 +66,36 @@ def test_params_validation():
     assert params.to_json() == {"p": 3, "k": 2, "n": 2, "sign": "-", "eps": 2}
 
 
-# the omega polynomial prod phi(s)/p is omega_tilde over p^(number of factors)
+# the omega polynomial prod phi(s)/p is omega_tilde = prod phi(s) over
+# p^(number of factors); at weight 2 the half-log is omega_tilde over
+# p^(1 + number of factors)
+
+
+def omega_tilde(p, n, sign, N):
+    """prod phi(s) over the sign's indices, as kernel products of phi."""
+    out = GroupRingElem.one(p, n, N)
+    for s in factor_indices(n, sign):
+        out = out * phi(p, n, s, N)
+    return out
+
+
+def weight_two_omega(p, n, sign, N):
+    """omega_tilde read off the weight-2 half-log."""
+    c = len(factor_indices(n, sign))
+    return log_trunc(HalfLogParams(p=p, k=2, n=n, sign=sign), N).shift_p(1 + c)
 
 
 def test_omega_poly_empty_product_is_one():
     # no even index below 2, so the plus product at n <= 2 is empty
     for n in (1, 2):
-        w = omega_tilde(3, n, PLUS, 20)
+        w = weight_two_omega(3, n, PLUS, 20)
         assert w == GroupRingElem.one(3, n, 20)
 
 
 def test_omega_poly_minus_level_two():
     # single factor phi(1) = 1 + gamma + gamma^2 at level 2, i.e. 3 times
     # the normalized (1 + gamma + gamma^2)/3
-    w = omega_tilde(3, 2, MINUS, 20)
+    w = weight_two_omega(3, 2, MINUS, 20)
     one = PadicScalar.one(3, 20)
     for r in range(3):
         assert w.coeffs[0][r] == one
@@ -88,7 +106,7 @@ def test_omega_poly_minus_level_two():
 def test_omega_poly_plus_level_four_support():
     # phi(2) at level 4: coefficients 1 (3 times the normalized 1/3) at
     # gamma-exponents 0, 3, 6
-    w = omega_tilde(3, 4, PLUS, 20)
+    w = weight_two_omega(3, 4, PLUS, 20)
     one = PadicScalar.one(3, 20)
     for r in range(27):
         c = w.coeffs[0][r]
@@ -99,21 +117,21 @@ def test_omega_poly_plus_level_four_support():
 
 
 def test_omega_tilde_scaling_relation():
-    # at weight 2 the half-log is omega_tilde over p^(1 + number of factors)
-    for (pp, n, sign) in [(3, 3, MINUS), (3, 4, PLUS), (5, 3, MINUS)]:
-        c = len(factor_indices(n, sign))
-        lhs = omega_tilde(pp, n, sign, 24)
-        rhs = log_trunc(HalfLogParams(p=pp, k=2, n=n, sign=sign), 24).shift_p(1 + c)
-        assert lhs == rhs
+    for (pp, n, sign) in [(3, 3, MINUS), (3, 4, PLUS), (5, 3, MINUS), (3, 5, MINUS)]:
+        got = weight_two_omega(pp, n, sign, 24)
+        want = omega_tilde(pp, n, sign, 24)
+        assert got == want
+        # products of distinct phi(s) have 0/1 coefficients: nothing is lost
+        assert got.identical(want)
 
 
 def test_omega_tilde_minus_level_three_is_phi_one():
-    assert omega_tilde(3, 3, MINUS, 20) == phi(3, 3, 1, 20)
+    assert weight_two_omega(3, 3, MINUS, 20).identical(phi(3, 3, 1, 20))
 
 
 def test_omega_tilde_plus_level_five_product_support():
     # phi(2)*phi(4) at level 5: exponents {0,3,6} + {0,27,54}, coefficient 1
-    w = omega_tilde(3, 5, PLUS, 20)
+    w = weight_two_omega(3, 5, PLUS, 20)
     grid = int_grid(w, 10)
     want = {(i + j) % 81 for i in (0, 3, 6) for j in (0, 27, 54)}
     assert len(want) == 9
@@ -269,3 +287,51 @@ def test_saturated_twist_unit_identity_and_one_units():
             mv = diff.min_valuation()
             # geometric sum of u-powers: (1/p) sum u^(-j i p^(m-1)) = 1 + O(p^m)
             assert mv >= m
+
+
+def fraction_half_log(p, n, k, sign):
+    """prod over j < k-1 and s of phi_s(u^-j gamma), over p^denominator_exponent.
+
+    A dense cyclic product of Fraction rows, with Y^e = u^(-j e) gamma^e.
+    """
+    P, u = p ** (n - 1), 1 + p
+    params = HalfLogParams(p=p, k=k, n=n, sign=sign)
+    row = [Fraction(1, p ** denominator_exponent(params))] + [Fraction(0)] * (P - 1)
+    for j in range(k - 1):
+        for s in factor_indices(n, sign):
+            q = p ** (s - 1)
+            out = [Fraction(0)] * P
+            for r, a in enumerate(row):
+                if a:
+                    for i in range(p):
+                        out[(r + i * q) % P] += a * Fraction(1, u ** (j * i * q))
+            row = out
+    return row
+
+
+@pytest.mark.parametrize("p, top", [(3, 5), (5, 4), (7, 4)])
+def test_log_trunc_is_the_exact_product(p, top):
+    # every coefficient is the rational product converted once: each nonzero
+    # one keeps all N relative digits, however many twists went in
+    N = 40
+    for n in range(1, top + 1):
+        for k in range(2, 7):
+            for sign in (PLUS, MINUS):
+                got = log_trunc(HalfLogParams(p=p, k=k, n=n, sign=sign), N)
+                want = fraction_half_log(p, n, k, sign)
+                for c, x in zip(got.coeffs[0], want):
+                    ref = PadicScalar.from_rational(x.numerator, x.denominator, p, N)
+                    assert c.identical(ref), (p, n, k, sign)
+                    assert c.is_zero() or c.N == N
+                assert all(c.identical(PadicScalar.zero(p, N)) for row in got.coeffs[1:] for c in row)
+
+
+def test_zero_scan_pieces_are_twisted_phis():
+    # the pieces zero_factor_counts evaluates are the twists of phi(s),
+    # digit for digit
+    N = 30
+    for p, n in [(3, 2), (3, 4), (5, 3), (7, 2)]:
+        for j in range(4):
+            for s in range(1, n):
+                piece = _phi_elem(p, n, [(j, s)], 1, N)
+                assert piece.identical(twist_gamma(phi(p, n, s, N), j))

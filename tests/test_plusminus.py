@@ -12,8 +12,8 @@ from iwa.errors import (
     ShapeMismatch,
     UnboundedResult,
 )
-from iwa.groupring import GroupRingElem, random_element, twist_gamma
-from iwa.halflogs import MINUS, PLUS, HalfLogParams, factor_indices, log_trunc, omega_tilde
+from iwa.groupring import GroupRingElem, phi, random_element, twist_gamma
+from iwa.halflogs import MINUS, PLUS, HalfLogParams, factor_indices, log_trunc
 from iwa.padic import PadicScalar, half_val_fraction
 from iwa.plusminus import (
     AdmissiblePair,
@@ -147,15 +147,16 @@ def test_roundtrip_grid():
 
 
 def test_decompose_refuses_components_too_thin_to_recompose():
-    # weight 10 at level 3: the half-log denominators need 18 digits and the
-    # quotient chain leaves 15 of the 40 put in
-    p, n, k, N = 3, 3, 10, 40
+    # weight 12 at level 3: the half-log denominators need 22 digits and the
+    # quotient chain leaves 17 of the 40 put in (at weight 10 it leaves 22
+    # and 21, enough for the 18 needed there)
+    p, n, k, N = 3, 3, 12, 40
     rng = SplitMix64(5)
     alpha = make_alpha(p, k, 1, N)
     params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
     A = random_element(p, n, N, rng).to_quad(alpha.s)
     B = random_element(p, n, N, rng).to_quad(alpha.s)
-    with pytest.raises(PrecisionExhausted, match="needs more than 18"):
+    with pytest.raises(PrecisionExhausted, match="components keep 17 digits; composing them back needs more than 22"):
         decompose(compose(A, B, params, alpha))
 
 
@@ -176,6 +177,31 @@ def test_decompose_independent_of_earlier_precision():
     assert run(40) == fresh
 
 
+def fraction_unit_inverse(p, n, k, sign):
+    """prod over j = 1..k-2 and s of (Y^q - 1) sum_i Y^(i p^s) / (u^(-jP) - 1) as Fractions.
+
+    Y = u^-j gamma, q = p^(s-1), P = p^(n-1), i < p^(n-1-s); Y^e is
+    u^(-j e) gamma^(e mod P).
+    """
+    P, u = p ** (n - 1), 1 + p
+    row = [Fraction(1)] + [Fraction(0)] * (P - 1)
+    for j in range(1, k - 1):
+        for s in factor_indices(n, sign):
+            q = p ** (s - 1)
+            scale = 1 / (Fraction(1, u ** (j * P)) - 1)
+            factor = {}
+            for e in range(0, P, p * q):
+                for t, c in ((e + q, 1), (e, -1)):
+                    factor[t % P] = factor.get(t % P, 0) + c * scale / u ** (j * t)
+            out = [Fraction(0)] * P
+            for r, a in enumerate(row):
+                if a:
+                    for t, c in factor.items():
+                        out[(r + t) % P] += a * c
+            row = out
+    return row
+
+
 @pytest.mark.parametrize(
     "p, n, k",
     [(3, 2, 3), (3, 3, 5), (3, 4, 3), (3, 4, 6), (3, 5, 3), (3, 5, 4), (3, 5, 6),
@@ -183,14 +209,17 @@ def test_decompose_independent_of_earlier_precision():
 )
 def test_twisted_unit_inverse_closed_form(p, n, k):
     # the closed form times the unit built factor by factor is 1, and the
-    # inverse keeps every digit asked for: at N=40 it is the N=200 one cut
+    # inverse keeps every digit asked for: at N=40 it is the N=200 one cut,
+    # and each coefficient is the rational inverse converted once
     params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
     for sign in (PLUS, MINUS):
         inv = _twisted_unit_inverse(params, sign, 200)
         if not factor_indices(n, sign):
             assert inv is None
             continue
-        base = omega_tilde(p, n, sign, 300)
+        base = GroupRingElem.one(p, n, 300)
+        for s in factor_indices(n, sign):
+            base = base * phi(p, n, s, 300)
         unit = twist_gamma(base, 1)
         for j in range(2, k - 1):
             unit = unit * twist_gamma(base, j)
@@ -199,6 +228,9 @@ def test_twisted_unit_inverse_closed_form(p, n, k):
         narrow = _twisted_unit_inverse(params, sign, 40)
         assert narrow.N == 40
         assert narrow == inv
+        exact = fraction_unit_inverse(p, n, k, sign)
+        for c, x in zip(narrow.coeffs[0], exact):
+            assert c.identical(PadicScalar.from_rational(x.numerator, x.denominator, p, 40))
 
 
 @pytest.mark.parametrize("k, seeds", [(3, (8, 25)), (4, (252, 359))])
@@ -211,6 +243,24 @@ def test_round_trip_at_level_five(k, seeds):
     alpha = make_alpha(p, k, 1, N)
     params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
     for seed in seeds:
+        rng = SplitMix64(seed)
+        A = random_element(p, n, N, rng).to_quad(alpha.s)
+        B = random_element(p, n, N, rng).to_quad(alpha.s)
+        pair = compose(A, B, params, alpha)
+        dec = decompose(pair)
+        back = compose(dec.Lplus, dec.Lminus, params, alpha)
+        assert back.L1 == pair.L1
+        assert back.L2 == pair.L2
+
+
+def test_round_trip_at_level_four_weight_six():
+    # the half-logs are exact, so compose loses no digits to them: these
+    # pairs keep 16-20 digits through decompose, more than the 15 that
+    # compose needs back
+    p, n, k, N = 3, 4, 6, 40
+    alpha = make_alpha(p, k, 1, N)
+    params = HalfLogParams(p=p, k=k, n=n, sign=PLUS)
+    for seed in (2, 3, 4):
         rng = SplitMix64(seed)
         A = random_element(p, n, N, rng).to_quad(alpha.s)
         B = random_element(p, n, N, rng).to_quad(alpha.s)

@@ -116,6 +116,29 @@ def test_trace_transitivity():
     assert trace(trace(x, 1), 0) == trace(x, 0)
 
 
+def galois_trace(x, m):
+    """The trace as the sum of the conjugates sigma_a, a = 1 mod p^m."""
+    p, n = x.p, x.n
+    acc = CycRationalElem.zero(p, n)
+    for a in range(1, p**n, p**m):
+        if a % p:
+            acc = acc + x.sigma(a)
+    return acc.to_level(m)
+
+
+def test_trace_matches_the_galois_sum():
+    rng = SplitMix64(17)
+    for p, top in [(3, 4), (5, 3), (7, 2)]:
+        for n in range(1, top + 1):
+            dim = phi_degree(p, n)
+            for _ in range(3):
+                x = CycRationalElem(
+                    p, n, [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(dim)]
+                )
+                for m in range(n + 1):
+                    assert trace(x, m) == galois_trace(x, m), (p, n, m)
+
+
 def test_pi_elements():
     p = 3
     assert pi_element(p, 2, 0) == CycRationalElem.one(p, 2)
