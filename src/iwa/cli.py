@@ -51,6 +51,16 @@ EXIT_PRECISION = 4
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
+# size limits, checked on flags and on JSON input before anything is built:
+# N, the group-ring grid (p-1) p^(n-1), and the qpn dimension phi(p^n)
+MAX_N, MAX_GRID, MAX_QPN_DIM = 1000, 20000, 500
+
+
+def _check_size(p=3, n=1, N=1, limit=MAX_GRID) -> None:
+    # p^(n-1) is formed only once n is known to be small
+    if N > MAX_N or n - 1 > limit.bit_length() or (p - 1) * p ** max(n - 1, 0) > limit:
+        raise MalformedInput(f"p={p} n={n} N={N} past N <= {MAX_N}, (p-1) p^(n-1) <= {limit}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -66,7 +76,8 @@ class RunConfig:
     inp: str | None = None
     out: str | None = None
 
-    def validate(self) -> None:
+    def validate(self, command: str) -> None:
+        _check_size(self.p, self.n, self.N, MAX_QPN_DIM if command == "qpn" else MAX_GRID)
         try:
             check_odd_prime(self.p)
         except InvalidParameter as exc:
@@ -105,11 +116,22 @@ def _read_json(path: str | None) -> dict:
         raise MalformedInput("this command needs --in")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=_sized)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _sized(obj: dict) -> dict:
+    """JSON object hook: refuse a grid (an object with n) or an N past the limits.
+
+    Values that are not integers are left to the decoders.
+    """
+    N = obj.get("N")
+    if "n" in obj or isinstance(N, int) and N > MAX_N:
+        _check_size(**{k: obj[k] for k in ("p", "n", "N") if isinstance(obj.get(k), int)})
+    return obj
 
 
 def _write_json(obj, path: str | None) -> None:
@@ -287,7 +309,7 @@ def main(argv=None) -> int:
             inp=args.inp,
             out=args.out,
         )
-        cfg.validate()
+        cfg.validate(args.command)
         if args.command == "decompose":
             return cmd_decompose(cfg, args.floor)
         if args.command == "compose":

@@ -42,7 +42,7 @@ class NotDivisible(IwaError):
 
 
 class NotAUnit(IwaError):
-    """Inversion requested for an element with a vanishing component."""
+    """Inversion requested for an element that is not p^v times a unit of Z_p[G]."""
 
 
 class BadConductor(IwaError):

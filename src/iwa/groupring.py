@@ -10,12 +10,12 @@ element or scalar runs on each leg alone.
 
 The gamma-direction factors through the coprime splitting
 x^(p^(n-1)) - 1 = prod_m Phi_{p^m}(x), m = 0..n-1, which yields evaluation
-slots gamma -> zeta_{p^m}.  Divisibility by phi(m), exact division with a
-canonical (slot-zeroed) quotient, and unit inversion all run through that
-splitting.  Its idempotents are exact rationals in closed form (CrtContext),
-so slot results depend on their inputs alone; their denominators cost at
-most n-1 digits of absolute precision, and CRT-backed operations require
-N >= n + 10.
+slots gamma -> zeta_{p^m}.  Divisibility by phi(m) and exact division with
+a canonical (slot-zeroed) quotient run through that splitting.  Its
+idempotents are exact rationals in closed form (CrtContext), so slot results
+depend on their inputs alone; their denominators cost at most n-1 digits of
+absolute precision, and CRT-backed operations require N >= n + 10.  Unit
+inversion does not split: it is Newton's iteration on whole grids.
 
 The element-level precision N reported here is the grid minimum; single
 coefficients may certify slightly more after cancellation-free paths.
@@ -43,12 +43,13 @@ QUAD = "quad"
 
 # -- the convolution kernel ---------------------------------------------------
 #
-# Every grid product (element products, the CRT projector correction and
-# reconstruction) is one exact cyclic convolution over Z/R x Z/C of
-# non-negative integer grids, R = p-1 and C = p^(n-1), done by Kronecker
-# substitution: each grid is packed into one integer with a slot per
-# coefficient, the two integers are multiplied once, and the product is
-# folded back along both cyclic directions.  Precision follows
+# Every grid product (element products and with them the Newton steps of
+# unit inversion, the CRT projector correction and reconstruction) is one
+# exact cyclic convolution over Z/R x Z/C of non-negative integer grids,
+# R = p-1 and C = p^(n-1), done by Kronecker substitution: each grid is
+# packed into one integer with a slot per coefficient, the two integers are
+# multiplied once, and the product is folded back along both cyclic
+# directions.  Precision follows
 # PadicScalar.__mul__ pair by pair: the coefficient at k is known modulo
 # p^cap with cap = min(A1 + v2, v1 + A2) over the nonzero pairs meeting at
 # k, A = v + N.  Valuations and absolute caps take few distinct values in a
@@ -667,48 +668,6 @@ class CrtContext:
         corr = self._times_idem([(m, slots)], zero.N)
         return [[q - c for q, c in zip(qr, cr)] for qr, cr in zip(quots, corr)]
 
-    def invert_unit(self, f: GroupRingElem) -> GroupRingElem:
-        if f.s is not None:
-            raise ShapeMismatch("unit inversion runs over the base ring")
-        p, N = self.p, f.N
-        w = teichmuller(primitive_root(p), p, N)
-        winv = [w ** ((-d) % (p - 1)) for d in range(p - 1)]
-        scale = PadicScalar.from_rational(1, p - 1, p, N)
-        comps = self.decompose(f)
-        out = []
-        for m in range(self.n):
-            rows = comps[m]
-            components = []
-            for d in range(p - 1):
-                acc = None
-                for a in range(p - 1):
-                    t = rows[a].scalar_mul(w ** ((d * a) % (p - 1)))
-                    acc = t if acc is None else acc + t
-                if acc.is_zero():
-                    raise NotAUnit(
-                        f"slot (m={m}, d={d}) vanishes at working precision"
-                    )
-                components.append(acc)
-            # identical components (common for trivial-torsion-row support)
-            # share one expensive inversion
-            inverted = []
-            for d, comp in enumerate(components):
-                hit = None
-                for d2 in range(d):
-                    if (components[d2] - comp).is_zero():
-                        hit = inverted[d2]
-                        break
-                inverted.append(hit if hit is not None else comp.inv())
-            back = []
-            for a in range(p - 1):
-                acc = None
-                for d in range(p - 1):
-                    t = inverted[d].scalar_mul(winv[(d * a) % (p - 1)])
-                    acc = t if acc is None else acc + t
-                back.append(acc.scalar_mul(scale))
-            out.append(back)
-        return self.reconstruct(out)
-
 
 _CONTEXTS: dict[tuple, CrtContext] = {}
 
@@ -733,7 +692,38 @@ def divide_exact(f: GroupRingElem, m: int) -> GroupRingElem:
 
 
 def invert_unit(f: GroupRingElem) -> GroupRingElem:
-    return crt_context(f.p, f.n, f.N).invert_unit(f)
+    """Inverse of f = p^v g, g a unit of Z_p[G], by Newton's iteration.
+
+    The seed inverts g's torsion augmentation in Z_p[Delta] through its p-1
+    character values, so 1 - g x lies in the radical J = (p, gamma - 1).
+    Each step x <- x + x (1 - g x), two kernel products on whole grids,
+    squares that residual, and J^(p^(n-1)) lies in p Z_p[G].
+    """
+    if f.s is not None:
+        raise ShapeMismatch("unit inversion runs over the base ring")
+    p, R, C = f.p, f.rows, f.cols
+    v = min((c.v for row in f.coeffs for c in row if c.u), default=None)
+    if v is None:
+        raise NotAUnit("zero is not a unit")
+    g = f.shift_p(-v)
+    N = g.N
+    w = teichmuller(primitive_root(p), p, N)
+    aug = [sum(row[1:], row[0]) for row in g.coeffs]
+    vals = [sum((aug[a] * w ** (d * a % R) for a in range(1, R)), aug[0]) for d in range(R)]
+    if any(x.is_zero() or x.v > 0 for x in vals):
+        raise NotAUnit("not p^v times a unit of Z_p[G]: a character value vanishes mod p")
+    scale = PadicScalar.from_rational(1, R, p, N)
+    seed = [[PadicScalar.zero(p, N)] * C for _ in range(R)]
+    for a in range(R):
+        terms = [vals[d].inv() * w ** (-d * a % R) for d in range(R)]
+        seed[a][0] = sum(terms[1:], terms[0]) * scale
+    x, one = GroupRingElem(p, f.n, seed), GroupRingElem.one(p, f.n, N)
+    for _ in range((N * C).bit_length() + 1):
+        r = one - g * x
+        if r.is_zero():
+            return x.shift_p(-v)
+        x = x + x * r
+    raise PrecisionExhausted(f"Newton inversion did not converge at N={N}")
 
 
 def slot_is_zero(comps, m: int) -> bool:

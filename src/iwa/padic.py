@@ -138,10 +138,12 @@ class PadicScalar:
     def add(self, other: "PadicScalar") -> "PadicScalar":
         self._check_compatible(other)
         N = min(self.N, other.N)
+        # a zero known mod p^A reduces the other operand mod p^A; only an
+        # exact zero caps its relative precision
         if not self.u:
-            return other._mod(self.v, N)
+            return other._mod(self.v, N if self.v == INF else other.N)
         if not other.u:
-            return self._mod(other.v, N)
+            return self._mod(other.v, N if other.v == INF else self.N)
         p = self.p
         vmin = min(self.v, other.v)
         abs_prec = min(self.abs_precision(), other.abs_precision())
@@ -235,7 +237,7 @@ class PadicScalar:
         return {
             "p": self.p,
             "N": self.N,
-            "v": "inf" if self.is_zero() else self.v,
+            "v": "inf" if self.v == INF else self.v,
             "u": str(self.u),
         }
 

@@ -157,26 +157,6 @@ class CycRationalElem:
                 v[i * step] = c
         return CycRationalElem(self.p, n2, v)
 
-    def in_level(self, m):
-        """Whether the element lies in the level-m subfield."""
-        if m >= self.n:
-            return True
-        step = self.p ** (self.n - m)
-        return all(
-            not c for i, c in enumerate(self.coeffs) if i % step
-        )
-
-    def to_level(self, m):
-        """Project onto the level-m subfield; the element must lie in it."""
-        if m >= self.n:
-            return self.embed(m)
-        if not self.in_level(m):
-            raise InvalidParameter("element does not lie in the subfield")
-        step = self.p ** (self.n - m)
-        return CycRationalElem(
-            self.p, m, [self.coeffs[i * step] for i in range(phi_degree(self.p, m))]
-        )
-
     def __repr__(self):
         return f"CycRationalElem(p={self.p}, n={self.n}, {self.coeffs})"
 

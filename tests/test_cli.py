@@ -158,6 +158,19 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert main(["halflog-zeros", "--p", "3", "--n", "4", "--N", "0"]) == 64
     for eps in ("3", "0", "-6"):
         assert main(["halflog", "--p", "3", "--n", "2", "--eps", eps]) == 64
+    # size guards refuse before anything is built (these ran for minutes)
+    assert main(["halflog", "--p", "3", "--n", "3", "--k", "3", "--N", "1000000000"]) == 64
+    assert main(["qpn", "dims", "--p", "3", "--n", "9"]) == 64
+    assert main(["halflog-zeros", "--p", "3", "--n", "5", "--k", "3", "--N", "2000"]) == 64
+    assert main(["halflog", "--p", "1000003"]) == 64
+    # and JSON input alike: a coefficient N past the limit, a grid too large
+    big = tmp_path / "big.json"
+    f = phi(P, 2, 1, 40).to_json()
+    f["coeffs"][0][0]["N"] = 5000
+    big.write_text(json.dumps(f))
+    assert main(["divide", "--in", str(big), "--m", "1"]) == 64
+    big.write_text(json.dumps({"p": 3, "n": 10 ** 12, "ring": "base", "coeffs": []}))
+    assert main(["eval", "--in", str(big)]) == 64
 
 
 def test_low_precision_input_rejected_before_slot_arithmetic(tmp_path):

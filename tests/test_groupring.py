@@ -29,7 +29,7 @@ from iwa.groupring import (
     twist_gamma,
 )
 from iwa.halflogs import saturated_twist_unit
-from iwa.padic import PadicScalar, QuadExtScalar, teichmuller
+from iwa.padic import PadicScalar, QuadExtScalar, int_valuation, teichmuller
 from iwa.plusminus import make_alpha
 from iwa.rng import SplitMix64
 
@@ -412,13 +412,104 @@ def test_divide_exact_canonical_on_projectors():
             assert comps[L][a] == one_slot[a]
 
 
+def _is_unit_up_to_p(grid, p):
+    """Whether an integer grid is p^v times a unit of Z_p[G].
+
+    That holds when every character value sum_a aug_a g^(d a) of the
+    torsion augmentation (each row summed) of the grid over p^v is nonzero
+    mod p, g the primitive root and v the least valuation of an entry.
+    """
+    nonzero = [x for row in grid for x in row if x]
+    if not nonzero:
+        return False
+    v = min(int_valuation(x, p) for x in nonzero)
+    aug = [sum(row) // p**v for row in grid]
+    g = primitive_root(p)
+    return all(
+        sum(x * pow(g, d * a, p) for a, x in enumerate(aug)) % p
+        for d in range(p - 1)
+    )
+
+
+def _one_unit(p, n, N, rng):
+    """1 + p g for a random integral g."""
+    grid = [[p * x for x in row] for row in int_grid(random_element(p, n, N, rng))]
+    grid[0][0] += 1
+    return from_int_grid(p, n, grid, N)
+
+
+def _draw_unit(p, n, N, rng):
+    """A random element that is a unit of Z_p[G]."""
+    while True:
+        f = random_element(p, n, N, rng)
+        grid = int_grid(f)
+        if _is_unit_up_to_p(grid, p) and any(x % p for row in grid for x in row):
+            return f
+
+
 def test_invert_unit_roundtrip():
+    # p^v times a unit of Z_p[G] round-trips; anything else is NotAUnit
     rng = SplitMix64(18)
-    for p, n in [(3, 2), (3, 3), (5, 2)]:
-        one = GroupRingElem.one(p, n, 40)
-        f = random_element(p, n, 40, rng)
-        g = invert_unit(f)
-        assert g * f == one
+    levels = [(3, 2), (3, 3), (5, 2)]
+    drawn = [random_element(p, n, 40, rng) for p, n in levels]
+    drawn += [_draw_unit(p, n, 40, rng) for p, n in levels]
+    for f in drawn:
+        if _is_unit_up_to_p(int_grid(f), f.p):
+            assert invert_unit(f) * f == GroupRingElem.one(f.p, f.n, 40)
+        else:
+            with pytest.raises(NotAUnit):
+                invert_unit(f)
+
+
+def _int_product_mod(f, g, p, n, N):
+    """Cyclic product of two integer grids over Z/(p-1) x Z/p^(n-1), mod p^N."""
+    R, C = p - 1, p ** (n - 1)
+    out = [[0] * C for _ in range(R)]
+    terms = [(a, r, x) for a, row in enumerate(g) for r, x in enumerate(row) if x]
+    for a1, row in enumerate(f):
+        for r1, x in enumerate(row):
+            if x:
+                for a2, r2, y in terms:
+                    out[(a1 + a2) % R][(r1 + r2) % C] += x * y
+    return [[x % p**N for x in row] for row in out]
+
+
+@pytest.mark.parametrize(
+    "p,n", [(3, n) for n in range(1, 7)] + [(5, n) for n in range(1, 5)] + [(7, 1), (7, 2), (7, 3)]
+)
+@pytest.mark.parametrize("kind", ["one-unit", "unit"])
+def test_invert_unit_keeps_every_digit(p, n, kind):
+    N = 40
+    rng = SplitMix64(100 * p + n)
+    u = _one_unit(p, n, N, rng) if kind == "one-unit" else _draw_unit(p, n, N, rng)
+    inv = invert_unit(u)
+    assert all(c.abs_precision() >= N for row in inv.coeffs for c in row)
+    one = [[int(a == r == 0) for r in range(p ** (n - 1))] for a in range(p - 1)]
+    assert _int_product_mod(int_grid(u), int_grid(inv), p, n, N) == one
+
+
+def test_invert_unit_rejects_units_of_q_p_only():
+    # gamma - 1 + p is a unit of Q_p[G] but not p^v times one of Z_p[G]
+    p, n = 3, 3
+    grid = [[0] * p ** (n - 1) for _ in range(p - 1)]
+    grid[0][0], grid[0][1] = p - 1, 1
+    with pytest.raises(NotAUnit):
+        invert_unit(from_int_grid(p, n, grid))
+
+
+def test_invert_unit_scaled_monomial():
+    p, n, N = 3, 3, 40
+    w = teichmuller(primitive_root(p), p, N)
+    f = GroupRingElem.monomial(p, n, N, w.shift(-2), r=1)
+    want = GroupRingElem.monomial(p, n, N, w.inv().shift(2), r=p ** (n - 1) - 1)
+    assert invert_unit(f) == want
+
+
+def test_invert_unit_needs_no_crt_headroom():
+    # N = 8 < n + 10: the slot idempotents are not involved
+    p, n, N = 3, 4, 8
+    u = _one_unit(p, n, N, SplitMix64(9))
+    assert invert_unit(u) * u == GroupRingElem.one(p, n, N)
 
 
 def test_invert_unit_monomial():
@@ -615,3 +706,10 @@ def test_json_roundtrip_bit_identical():
     assert GroupRingElem.from_json(q.to_json()).identical(q)
     with pytest.raises(MalformedInput):
         GroupRingElem.from_json({"p": 3, "n": 2, "ring": BASE, "coeffs": [[]]})
+
+
+def test_json_keeps_a_zeros_precision():
+    f = GroupRingElem.monomial(3, 2, 20, PadicScalar.zero(3, 20, 5), r=1)
+    again = GroupRingElem.from_json(f.to_json())
+    assert again.identical(f)
+    assert again.coeffs[0][1].abs_precision() == 5

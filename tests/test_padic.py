@@ -123,6 +123,17 @@ def test_zero_keeps_absolute_precision():
     assert (o2 + PadicScalar.zero(p, 6)).abs_precision() == 2
 
 
+def test_finite_zero_reduces_without_capping_digits():
+    # 0 mod 3^41 carries N = 1, yet 1 + O(3^41) keeps its 40 digits; an
+    # exact zero at N = 1 still caps them (the working-precision rule)
+    p = 3
+    one = PadicScalar.one(p, 40)
+    assert (one + PadicScalar.zero(p, 1, 41)).identical(one)
+    assert (PadicScalar.zero(p, 1, 41) + one).identical(one)
+    assert (one + PadicScalar.zero(p, 1, 5)).N == 5
+    assert (one + PadicScalar.zero(p, 1)).N == 1
+
+
 def test_inverse_matches_extended_gcd():
     # inv(4) mod 3^4 = 61 since 4*61 = 244 = 3*81 + 1
     x = PadicScalar.from_int(4, 3, 4)
@@ -284,3 +295,10 @@ def test_scalar_json_round_trip():
     q = quad(7, -2)
     r = QuadExtScalar.from_json(q.to_json())
     assert r == q and r.s == q.s
+
+
+def test_json_keeps_a_zeros_precision():
+    z = PadicScalar.zero(3, 20, 5)
+    assert z.to_json()["v"] == 5
+    assert PadicScalar.from_json(z.to_json()).identical(z)
+    assert PadicScalar.zero(3, 20).to_json()["v"] == "inf"
