@@ -1,94 +1,123 @@
 """Exact-rational model of the p-power cyclotomic tower's linear algebra.
 
-Everything here runs over Q with Fraction coefficients, no rounding anywhere.
-That is faithful for the p-adic statements being checked: a p-power
-cyclotomic polynomial is irreducible over Q_p as well, so
-[Q_p(zeta_{p^n}) : Q_p] = [Q(zeta_{p^n}) : Q] and every span dimension or
-kernel rank computed rationally equals its p-adic counterpart.
+Everything here runs over Q, no rounding anywhere.  That is faithful for
+the p-adic statements being checked: a p-power cyclotomic polynomial is
+irreducible over Q_p as well, so [Q_p(zeta_{p^n}) : Q_p] = [Q(zeta_{p^n}) : Q]
+and every span dimension or kernel rank computed rationally equals its
+p-adic counterpart.
 
 An element is a vector of length phi(p^n) representing a polynomial in
 zeta_{p^n} reduced mod the p^n-th cyclotomic polynomial
-1 + X^D + ... + X^{(p-2)D}, D = p^{n-1}.  The reduced representative of an
-element of the level-m subfield is supported on exponents divisible by
-p^{n-m}, which makes subfield membership and projection a support check.
+1 + X^D + ... + X^{(p-2)D}, D = p^{n-1}.  It is stored as integer
+numerators over one positive shared denominator, in lowest terms, so equal
+elements have equal integers; `coeffs` is the Fraction view.  The reduced
+representative of an element of the level-m subfield is supported on
+exponents divisible by p^{n-m}, which makes subfield membership and
+projection a support check.  The linear algebra runs on integer rows by
+fraction-free elimination.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import compress
+from math import gcd, lcm
 
 from .cyclotomic import phi_degree, primitive_root
 from .errors import BadIndex, InvalidParameter
 from .halflogs import MINUS, PLUS
 from .padic import check_odd_prime
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _root_terms(p, n, e):
+    """zeta_{p^n}^e in the reduced power basis, as (index, coefficient) pairs."""
+    if n == 0:
+        return ((0, 1),)
+    block = p ** (n - 1)
+    top = (p - 1) * block
+    e %= p * block
+    if e < top:
+        return ((e, 1),)
+    # zeta^((p-1)D + t) = -(zeta^t + zeta^(D+t) + ...)
+    return tuple((i, -1) for i in range(e - top, top, block))
+
+
+def _reduce(p, n, terms):
+    """Sum of c * zeta^e over (e, c) pairs with integer c, as a reduced vector."""
+    v = [0] * phi_degree(p, n)
+    for e, c in terms:
+        for i, s in _root_terms(p, n, e):
+            v[i] += s * c
+    return v
+
+
+def _elem(p, n, nums, den=1):
+    """An element from integer numerators over a positive denominator.
+
+    Unchecked: internal callers hand in vectors of the right length.
+    """
+    x = object.__new__(CycRationalElem)
+    x._fill(p, n, nums, den)
+    return x
 
 
 class CycRationalElem:
     """Polynomial in zeta_{p^n} over Q, canonically reduced."""
 
-    __slots__ = ("p", "n", "coeffs")
+    __slots__ = ("p", "n", "nums", "den")
 
     def __init__(self, p, n, coeffs):
+        """coeffs are ints or Fractions (or anything Fraction takes)."""
         check_odd_prime(p)
         if n < 0:
             raise BadIndex("level must be nonnegative")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [
+            c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs
+        ]
         if len(coeffs) != phi_degree(p, n):
             raise InvalidParameter("coefficient vector has the wrong length")
+        den = lcm(*(c.denominator for c in coeffs))
+        self._fill(p, n, [c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    def _fill(self, p, n, nums, den):
+        """Store nums / den in lowest terms."""
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [a // g for a in nums]
+            den //= g
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycRationalElem is immutable")
+
+    @property
+    def coeffs(self):
+        """The coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.nums)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, p, n):
-        return cls(p, n, (_ZERO,) * phi_degree(p, n))
+        return cls(p, n, [0] * phi_degree(p, n))
 
     @classmethod
     def one(cls, p, n):
-        return cls.rational(p, n, _ONE)
+        return cls.rational(p, n, 1)
 
     @classmethod
     def rational(cls, p, n, q):
-        v = [_ZERO] * phi_degree(p, n)
+        v = [0] * phi_degree(p, n)
         v[0] = Fraction(q)
-        return cls(p, n, v)
-
-    @classmethod
-    def from_exponents(cls, p, n, terms):
-        """Sum of c * zeta^e over (e, c) pairs, exponents taken mod p^n."""
-        v = [_ZERO] * phi_degree(p, n)
-        if n == 0:
-            for _, c in terms:
-                v[0] += Fraction(c)
-            return cls(p, n, v)
-        modulus = p**n
-        block = p ** (n - 1)
-        for e, c in terms:
-            c = Fraction(c)
-            if not c:
-                continue
-            e %= modulus
-            q, t = divmod(e, block)
-            if q < p - 1:
-                v[e] += c
-            else:
-                # zeta^((p-1)D + t) = -(zeta^t + zeta^(D+t) + ...)
-                for i in range(p - 1):
-                    v[i * block + t] -= c
         return cls(p, n, v)
 
     @classmethod
     def root(cls, p, n, e):
         """zeta_{p^n}^e."""
-        return cls.from_exponents(p, n, [(e, _ONE)])
+        return cls(p, n, _reduce(p, n, [(e, 1)]))
 
     # -- ring operations -------------------------------------------------
 
@@ -98,40 +127,46 @@ class CycRationalElem:
 
     def __add__(self, other):
         self._check(other)
-        return CycRationalElem(
-            self.p, self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        d1, d2 = self.den, other.den
+        den = lcm(d1, d2)
+        s, t = den // d1, den // d2
+        nums = [a * s + b * t for a, b in zip(self.nums, other.nums)]
+        return _elem(self.p, self.n, nums, den)
 
     def __neg__(self):
-        return CycRationalElem(self.p, self.n, [-a for a in self.coeffs])
+        return _elem(self.p, self.n, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, q):
         q = Fraction(q)
-        return CycRationalElem(self.p, self.n, [q * a for a in self.coeffs])
+        return _elem(
+            self.p, self.n, [q.numerator * a for a in self.nums], self.den * q.denominator
+        )
 
     def __mul__(self, other):
         self._check(other)
-        terms = []
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    terms.append((i + j, a * b))
-        return CycRationalElem.from_exponents(self.p, self.n, terms)
+        terms = [
+            (i + j, a * b)
+            for i, a in enumerate(self.nums)
+            if a
+            for j, b in enumerate(other.nums)
+            if b
+        ]
+        return _elem(self.p, self.n, _reduce(self.p, self.n, terms), self.den * other.den)
 
     def __eq__(self, other):
         if not isinstance(other, CycRationalElem):
             return NotImplemented
-        return (self.p, self.n) == (other.p, other.n) and self.coeffs == other.coeffs
+        return (self.p, self.n, self.den, self.nums) == (
+            other.p, other.n, other.den, other.nums
+        )
 
     __hash__ = None
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     # -- Galois and level moves -------------------------------------------
 
@@ -141,21 +176,18 @@ class CycRationalElem:
             raise InvalidParameter("conjugation exponent must be a unit")
         if self.n == 0:
             return self
-        terms = [
-            (a * i, c) for i, c in enumerate(self.coeffs) if c
-        ]
-        return CycRationalElem.from_exponents(self.p, self.n, terms)
+        nums = self.nums
+        terms = [(a * i, nums[i]) for i in _support(nums)]
+        return _elem(self.p, self.n, _reduce(self.p, self.n, terms), self.den)
 
     def embed(self, n2):
         """Inclusion into the level-n2 field, n2 >= n."""
         if n2 < self.n:
             raise BadIndex("embedding must not lower the level")
         step = self.p ** (n2 - self.n)
-        v = [_ZERO] * phi_degree(self.p, n2)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                v[i * step] = c
-        return CycRationalElem(self.p, n2, v)
+        v = [0] * phi_degree(self.p, n2)
+        v[: len(self.nums) * step : step] = self.nums
+        return _elem(self.p, n2, v, self.den)
 
     def __repr__(self):
         return f"CycRationalElem(p={self.p}, n={self.n}, {self.coeffs})"
@@ -174,10 +206,10 @@ def trace(x: CycRationalElem, m: int) -> CycRationalElem:
         return x
     step = p ** (n - m)
     if m:
-        return CycRationalElem(p, m, [step * c for c in x.coeffs[::step]])
+        return _elem(p, m, [step * c for c in x.nums[::step]], x.den)
     top = p ** (n - 1)
-    total = phi_degree(p, n) * x.coeffs[0] - top * sum(x.coeffs[top::top])
-    return CycRationalElem.rational(p, 0, total)
+    total = phi_degree(p, n) * x.nums[0] - top * sum(x.nums[top::top])
+    return _elem(p, 0, [total], x.den)
 
 
 def pi_element(p: int, n: int, i: int) -> CycRationalElem:
@@ -205,16 +237,34 @@ def dim_graded(p: int, i: int) -> int:
     return p ** (i - 2) * (p - 1) ** 2
 
 
+def _least_level(x: CycRationalElem) -> int:
+    """The least level whose field contains x, read off the support."""
+    g = gcd(*(i for i, c in enumerate(x.nums) if c))
+    if g == 0:
+        return 0
+    level = x.n
+    while g % x.p == 0:
+        g //= x.p
+        level -= 1
+    return level
+
+
 def galois_orbit(x: CycRationalElem) -> list:
-    """All conjugates of x, in increasing exponent order."""
-    if x.n == 0:
+    """The conjugates sigma_a(x) for the units a below p^l, in increasing order.
+
+    l is the least level containing x.  sigma_a(x) depends only on a mod p^l,
+    so these are the first occurrences among all phi(p^n) conjugates; a
+    constant is its own single conjugate.
+    """
+    level = _least_level(x)
+    if level == 0:
         return [x]
-    return [x.sigma(a) for a in range(1, x.p**x.n) if a % x.p]
+    return [x.sigma(a) for a in range(1, x.p**level) if a % x.p]
 
 
 def galois_span_dim(x: CycRationalElem) -> int:
     """Rank over Q of the span of the Galois orbit."""
-    return rank_of_vectors([y.coeffs for y in galois_orbit(x)])
+    return rank_of_vectors([y.nums for y in galois_orbit(x)])
 
 
 # -- exact linear algebra -----------------------------------------------------
@@ -222,105 +272,122 @@ def galois_span_dim(x: CycRationalElem) -> int:
 
 def _int_row(row):
     """Clear denominators and divide by the content; 0 rows stay 0."""
-    den = 1
-    for c in row:
-        den = den * c.denominator // gcd(den, c.denominator)
-    out = [int(c * den) for c in row]
-    g = 0
-    for v in out:
-        g = gcd(g, v)
+    try:
+        g = gcd(*row)  # integer rows; Fractions raise TypeError
+    except TypeError:
+        den = lcm(*(c.denominator for c in row))
+        row = [c.numerator * (den // c.denominator) for c in row]
+        g = gcd(*row)
     if g > 1:
-        out = [v // g for v in out]
-    return out
+        row = [v // g for v in row]
+    return row
 
 
-def _echelon(rows, ncols):
-    """Integer row echelon by cross-multiplication; returns (pivots, kept).
+def _support(row):
+    """The columns where row is nonzero."""
+    return list(compress(range(len(row)), row))
 
-    pivots is a list of (original_row_index, pivot_column); kept holds the
-    reduced integer rows in pivot order.  Deterministic: first usable row
-    wins each column.
+
+def _clear(r, col, prow, support):
+    """Clear column col of r in place against the pivot row prow.
+
+    support lists the columns where prow is nonzero; only those and the
+    nonzero entries of r are touched.
     """
-    work = [(i, list(r)) for i, r in enumerate(rows)]
+    pv, rv = prow[col], r[col]
+    g = gcd(pv, rv)
+    a, b = pv // g, rv // g
+    if a == -1:
+        a, b = 1, -b
+    if a != 1:
+        for j in _support(r):
+            r[j] *= a
+    # a r - b prow
+    for j in support:
+        r[j] -= b * prow[j]
+    if a != 1:
+        g = gcd(*r)
+        if g > 1:
+            for j in _support(r):
+                r[j] //= g
+
+
+def _echelon(rows, ncols, reduced=False):
+    """Integer row echelon by fraction-free insertion; returns (pivots, kept).
+
+    Rows go in first to last.  Each is cleared, left to right, at the pivot
+    columns of the rows kept so far, and is kept with a new pivot at its
+    first nonzero column that has none; a row that clears to zero is
+    dependent.  pivots lists (original_row_index, pivot_column) and kept the
+    matching integer rows, both in the order kept, so the kept rows are the
+    first-come maximal independent subset.  With reduced, every pivot column
+    is then cleared from the other kept rows, which makes kept a reduced
+    echelon form whose pivots are not scaled to 1.
+    """
+    by_col = {}
     pivots = []
     kept = []
-    col = 0
-    while col < ncols and work:
-        hit = None
-        for idx, (orig, r) in enumerate(work):
-            if r[col]:
-                hit = idx
+    for i, row in enumerate(rows):
+        r = list(row)
+        # compress reads r as it is cleared, which touches only later columns
+        for col in compress(range(ncols), r):
+            hit = by_col.get(col)
+            if hit is None:
+                by_col[col] = (r, _support(r))
+                pivots.append((i, col))
+                kept.append(r)
                 break
-        if hit is None:
-            col += 1
-            continue
-        orig, prow = work.pop(hit)
-        pv = prow[col]
-        survivors = []
-        for oi, r in work:
-            if r[col]:
-                rv = r[col]
-                r = [a * pv - b * rv for a, b in zip(r, prow)]
-                g = 0
-                for v in r:
-                    g = gcd(g, v)
-                if g > 1:
-                    r = [v // g for v in r]
-            if any(r):
-                survivors.append((oi, r))
-        work = survivors
-        pivots.append((orig, col))
-        kept.append(prow)
-        col += 1
+            _clear(r, col, *hit)
+    if reduced:
+        for col in sorted(by_col, reverse=True):
+            prow = by_col[col][0]
+            support = _support(prow)
+            for r in kept:
+                if r[col] and r is not prow:
+                    _clear(r, col, prow, support)
     return pivots, kept
+
+
+def _independent(rows, ncols) -> list:
+    """Indices of the first-come maximal independent subset of integer rows.
+
+    Which rows are independent does not depend on the column order, so the
+    elimination runs from the last column: the constants and the low-level
+    roots, which most conjugates share, sit in the first columns, and
+    clearing them first fills the rows in.
+    """
+    pivots, _ = _echelon(map(reversed, rows), ncols)
+    return [i for i, _ in pivots]
 
 
 def rank_of_vectors(vectors) -> int:
     rows = [_int_row(v) for v in vectors]
-    rows = [r for r in rows if any(r)]
     if not rows:
         return 0
-    return len(_echelon(rows, len(rows[0]))[0])
-
-
-def independent_subset(vectors) -> list:
-    """Indices of a maximal independent subset, first-come order."""
-    rows = [_int_row(v) for v in vectors]
-    if not rows:
-        return []
-    pivots, _ = _echelon(rows, len(rows[0]))
-    return sorted(orig for orig, _ in pivots)
+    return len(_independent(rows, len(rows[0])))
 
 
 def kernel_basis(vectors, ncols) -> list:
-    """Basis of the right kernel of the stacked rows, as Fraction tuples."""
+    """Basis of the right kernel of the stacked rows, as integer tuples.
+
+    One primitive vector per free column of the reduced echelon form: it is
+    positive there, zero at the other free columns, and its last nonzero
+    entry is that free column's.
+    """
     rows = [_int_row(v) for v in vectors]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return [
-            tuple(_ONE if j == i else _ZERO for j in range(ncols))
-            for i in range(ncols)
-        ]
-    _, kept = _echelon(rows, ncols)
-    pivot_cols = []
-    for r in kept:
-        for j, v in enumerate(r):
-            if v:
-                pivot_cols.append(j)
-                break
-    free_cols = [j for j in range(ncols) if j not in set(pivot_cols)]
+    pivots, kept = _echelon(rows, ncols, reduced=True)
+    pivot_cols = [col for _, col in pivots]
+    free = sorted(set(range(ncols)).difference(pivot_cols))
     basis = []
-    for f in free_cols:
-        x = [_ZERO] * ncols
-        x[f] = _ONE
-        # kept rows are in echelon order; solve bottom-up
-        for r, pc in zip(reversed(kept), reversed(pivot_cols)):
-            s = _ZERO
-            for j in range(pc + 1, ncols):
-                if r[j] and x[j]:
-                    s += Fraction(r[j]) * x[j]
-            x[pc] = -s / r[pc]
-        basis.append(tuple(x))
+    for f in free:
+        hits = [(pc, r[pc], r[f]) for pc, r in zip(pivot_cols, kept) if r[f]]
+        scale = lcm(*(d for _, d, _ in hits))
+        x = [0] * ncols
+        x[f] = scale
+        for pc, d, v in hits:
+            x[pc] = -v * (scale // d)
+        g = gcd(*x)
+        basis.append(tuple(v // g for v in x))
     return basis
 
 
@@ -334,27 +401,17 @@ class SubspaceBasis:
 
     def __post_init__(self):
         if self.vectors and rank_of_vectors(
-            [v.coeffs for v in self.vectors]
+            [v.nums for v in self.vectors]
         ) != self.rank:
             raise InvalidParameter("basis vectors are not independent")
         if len(self.vectors) != self.rank:
             raise InvalidParameter("rank disagrees with the basis size")
 
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "constraint": self.constraint,
-            "vectors": [
-                [str(c) for c in v.coeffs] for v in self.vectors
-            ],
-        }
 
-
-def _pick_basis(p, n, vectors, rank, constraint) -> SubspaceBasis:
-    idx = independent_subset([v.coeffs for v in vectors])
-    picked = tuple(vectors[i] for i in idx)
-    assert len(picked) == rank
-    return SubspaceBasis(picked, rank, constraint)
+def _pick_basis(vectors, constraint) -> SubspaceBasis:
+    """The first-come independent vectors, found and counted by one elimination."""
+    idx = _independent([v.nums for v in vectors], len(vectors[0].nums))
+    return SubspaceBasis(tuple(vectors[i] for i in idx), len(idx), constraint)
 
 
 def _tower_step_generator(p: int, m: int) -> int:
@@ -364,35 +421,43 @@ def _tower_step_generator(p: int, m: int) -> int:
     return 1 + p**m
 
 
+def _step_rows(p: int, n: int, m: int) -> list:
+    """Integer rows of (sigma_c - 1) Tr_{n -> m+1} on the level-n monomials.
+
+    c generates Gal of level m+1 over level m.  Tr(zeta^i) is
+    p^(n-m-1) zeta_{p^(m+1)}^(i / p^(n-m-1)) when p^(n-m-1) divides i, and 0
+    otherwise; the rows leave out the common factor p^(n-m-1).  sigma_c - 1
+    takes zeta_{p^(m+1)}^j to two reduced roots.  Zero rows are dropped.
+    """
+    c = _tower_step_generator(p, m)
+    step = p ** (n - m - 1)
+    width = phi_degree(p, m + 1)
+    rows = [[0] * phi_degree(p, n) for _ in range(width)]
+    for j in range(width):
+        col = j * step
+        for k, s in _root_terms(p, m + 1, c * j):
+            rows[k][col] += s
+        rows[j][col] -= 1
+    return [r for r in rows if any(r)]
+
+
 def plus_minus_space(p: int, n: int, sign: str) -> SubspaceBasis:
     """Trace-condition subspace: traces land one layer down at matched steps.
 
     The condition set runs over m in [0, n-1] of even (plus) or odd (minus)
     parity: trace to level m+1 must lie in level m.  Solved as an exact
-    rational kernel.
+    integer kernel.
     """
     if n < 1:
         raise BadIndex("level must be at least 1")
     if sign not in (PLUS, MINUS):
         raise InvalidParameter("sign must be '+' or '-'")
+    check_odd_prime(p)
     want = 0 if sign == PLUS else 1
-    dim = phi_degree(p, n)
-    monomials = [
-        CycRationalElem(p, n, [_ONE if j == i else _ZERO for j in range(dim)])
-        for i in range(dim)
-    ]
     rows = []
-    for m in range(n):
-        if m % 2 != want:
-            continue
-        c = _tower_step_generator(p, m)
-        traced = [trace(x, m + 1) for x in monomials]
-        moved = [t.sigma(c) - t for t in traced]
-        for coord in range(phi_degree(p, m + 1)):
-            rows.append(tuple(v.coeffs[coord] for v in moved))
-    basis_vectors = [
-        CycRationalElem(p, n, v) for v in kernel_basis(rows, dim)
-    ]
+    for m in range(want, n, 2):
+        rows.extend(_step_rows(p, n, m))
+    basis_vectors = [_elem(p, n, v) for v in kernel_basis(rows, phi_degree(p, n))]
     return SubspaceBasis(
         tuple(basis_vectors),
         len(basis_vectors),
@@ -410,13 +475,8 @@ def r_space(p: int, n: int, sign: str) -> SubspaceBasis:
     gens = [CycRationalElem.one(p, n)]
     for m in range(start, n + 1, 2):
         gens.extend(galois_orbit(CycRationalElem.root(p, m, 1).embed(n)))
-    rank = rank_of_vectors([g.coeffs for g in gens])
     return _pick_basis(
-        p,
-        n,
-        gens,
-        rank,
-        f"constants + orbits of zeta(p^m), m = {start} mod 2, m <= {n}",
+        gens, f"constants + orbits of zeta(p^m), m = {start} mod 2, m <= {n}"
     )
 
 
@@ -424,7 +484,7 @@ def spaces_equal(A: SubspaceBasis, B: SubspaceBasis) -> bool:
     """Mutual containment through ranks of the union."""
     if A.rank != B.rank:
         return False
-    rows = [v.coeffs for v in A.vectors] + [v.coeffs for v in B.vectors]
+    rows = [v.nums for v in A.vectors] + [v.nums for v in B.vectors]
     return rank_of_vectors(rows) == A.rank
 
 
@@ -457,11 +517,11 @@ def u_space_dim(p: int, n: int) -> int:
         block = p ** (s - 1)
         deg = (p - 1) * block
         # X^r mod (1 + X^block + ... + X^((p-1) block)), built incrementally
-        rem = [[_ZERO] * deg for _ in range(cols)]
-        rem[0][0] = _ONE
+        rem = [[0] * deg for _ in range(cols)]
+        rem[0][0] = 1
         for r in range(1, cols):
             prev = rem[r - 1]
-            cur = [_ZERO] + list(prev[:-1])
+            cur = [0] + prev[:-1]
             lead = prev[-1]
             if lead:
                 for i in range(p - 1):
@@ -469,16 +529,15 @@ def u_space_dim(p: int, n: int) -> int:
             rem[r] = cur
         for a in range(p - 1):
             for d in range(deg):
-                row = [_ZERO] * nvars
+                row = [0] * nvars
                 for r in range(cols):
-                    if rem[r][d]:
-                        row[a * cols + r] = rem[r][d]
+                    row[a * cols + r] = rem[r][d]
                 rows.append(row)
     for a in range(1, p - 1):
-        row = [_ZERO] * nvars
+        row = [0] * nvars
         for r in range(cols):
-            row[r] = -_ONE
-            row[a * cols + r] = _ONE
+            row[r] = -1
+            row[a * cols + r] = 1
         rows.append(row)
     rank = rank_of_vectors(rows)
     dim = nvars - rank

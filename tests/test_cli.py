@@ -136,6 +136,15 @@ def test_qpn_dims_table(capsys):
     assert out["coincide"] is True
 
 
+def test_qpn_dims_at_the_size_limit(capsys):
+    # phi(5^4) = 500 is MAX_QPN_DIM, the largest size the CLI accepts
+    assert main(["qpn", "dims", "--p", "5", "--n", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["Qplus"] == out["Rplus"] == 417
+    assert out["Qminus"] == out["Rminus"] == 84
+    assert out["coincide"] is True
+
+
 def test_verify_deterministic_bytes(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -9,6 +9,7 @@ from iwa.halflogs import MINUS, PLUS
 from iwa.qpn import (
     CycRationalElem,
     SubspaceBasis,
+    _tower_step_generator,
     dim_graded,
     dim_minus_formula,
     dim_plus_formula,
@@ -35,6 +36,16 @@ def test_root_reduction():
     for i in range(p):
         acc = acc + CycRationalElem.root(p, n, i * p ** (n - 1))
     assert acc.is_zero()
+
+
+def test_integer_numerators_over_one_denominator():
+    x = CycRationalElem(3, 1, [Fraction(2, 4), 3])
+    assert (x.nums, x.den) == ((1, 6), 2)
+    assert x.coeffs == (Fraction(1, 2), Fraction(3))
+    # lowest terms make equal elements equal integers
+    y = CycRationalElem(3, 1, [Fraction(3, 6), Fraction(6, 2)])
+    assert y == x and (y.nums, y.den) == (x.nums, x.den)
+    assert (x - y).nums == (0, 0) and (x - y).den == 1
 
 
 def test_mul_matches_exponent_addition():
@@ -181,6 +192,29 @@ def test_orbit_rank_law_on_sparse_combinations():
         assert galois_span_dim(x) == want
 
 
+def orbit_oracle_elements(p, n):
+    """(level, x) pairs, one per level: a rational constant, pi_1 with its
+    1/(p-1), then pi_l plus a multiple of pi_1."""
+    yield 0, pi_element(p, n, 0).scale(Fraction(-3, 7))
+    yield 1, pi_element(p, n, 1)
+    for level in range(2, n + 1):
+        yield level, pi_element(p, n, level) + pi_element(p, n, 1).scale(Fraction(2, 3))
+
+
+@pytest.mark.parametrize("p, top", [(3, 4), (5, 4), (7, 4)])
+def test_galois_orbit_runs_over_the_units_below_its_level(p, top):
+    for n in range(1, top + 1):
+        for level, x in orbit_oracle_elements(p, n):
+            orbit = galois_orbit(x)
+            assert len(orbit) == phi_degree(p, level), (p, n, level)
+            units = [a for a in range(1, max(p**level, 2)) if a % p]
+            assert orbit == [x.sigma(a) for a in units]
+            # the same span as every conjugate, one per unit below p^n
+            every = [x.sigma(a) for a in range(1, p**n) if a % p]
+            rank = rank_of_vectors([y.nums for y in orbit])
+            assert rank_of_vectors([y.nums for y in orbit + every]) == rank
+
+
 def test_pi_orbits_are_independent():
     p, n = 3, 3
     rows = []
@@ -209,6 +243,19 @@ def test_plus_minus_dimension_table():
             [v.coeffs for v in qp.vectors] + [v.coeffs for v in qm.vectors]
         )
         assert union == phi_degree(p, n)
+
+
+@pytest.mark.parametrize("p, top", [(3, 4), (5, 4), (7, 3)])
+def test_plus_minus_vectors_meet_their_trace_conditions(p, top):
+    for n in range(1, top + 1):
+        for sign, formula in ((PLUS, dim_plus_formula), (MINUS, dim_minus_formula)):
+            space = plus_minus_space(p, n, sign)
+            assert space.rank == formula(p, n), (p, n, sign)
+            for m in range(0 if sign == PLUS else 1, n, 2):
+                c = _tower_step_generator(p, m)
+                for v in space.vectors:
+                    t = trace(v, m + 1)
+                    assert t.sigma(c) == t, (p, n, sign, m)
 
 
 def test_r_space_sum_and_intersection():
@@ -245,8 +292,6 @@ def test_subspace_basis_validation():
         SubspaceBasis((x, x), 2, "dependent")
     with pytest.raises(InvalidParameter):
         SubspaceBasis((x,), 2, "wrong rank")
-    sb = SubspaceBasis((x,), 1, "ok")
-    assert sb.to_json()["rank"] == 1
 
 
 def test_kernel_basis_shapes():
