@@ -28,6 +28,7 @@ from .halflogs import (
     MINUS,
     PLUS,
     HalfLogParams,
+    factor_indices,
     log_trunc,
     predicted_locus,
     vanishing_locus,
@@ -52,14 +53,25 @@ EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
 # size limits, checked on flags and on JSON input before anything is built:
-# N, the group-ring grid (p-1) p^(n-1), and the qpn dimension phi(p^n)
-MAX_N, MAX_GRID, MAX_QPN_DIM = 1000, 20000, 500
+# N, the group-ring grid (p-1) p^(n-1), the qpn dimension phi(p^n), and the
+# work of a halflog-zeros scan (_scan_work)
+MAX_N, MAX_GRID, MAX_QPN_DIM, MAX_SCAN = 1000, 20000, 500, 5 * 10**8
 
 
 def _check_size(p=3, n=1, N=1, limit=MAX_GRID) -> None:
     # p^(n-1) is formed only once n is known to be small
     if N > MAX_N or n - 1 > limit.bit_length() or (p - 1) * p ** max(n - 1, 0) > limit:
         raise MalformedInput(f"p={p} n={n} N={N} past N <= {MAX_N}, (p-1) p^(n-1) <= {limit}")
+
+
+def _scan_work(p, n, k, N, sign) -> int:
+    """Work units of a zero scan: (k-1)^2 |S| p^(n-1) evaluations, |S| the
+    factor indices, each a pass over the (p-1) p^(n-1) grid plus p products
+    of N digits, with 200 more per product for the fixed cost of an
+    evaluation.  |S| counts as at least 1, for the character grid itself.
+    """
+    evals = (k - 1) ** 2 * max(len(factor_indices(n, sign)), 1) * p ** (n - 1)
+    return evals * ((p - 1) * p ** (n - 1) + p * (N + 200))
 
 
 @dataclass(frozen=True)
@@ -90,6 +102,13 @@ class RunConfig:
             raise MalformedInput(f"N must be at least 1, got {self.N}")
         if self.eps % self.p == 0:
             raise MalformedInput(f"eps must be a unit mod p, got {self.eps}")
+        if command == "halflog-zeros":
+            work = _scan_work(self.p, self.n, self.k, self.N, self.sign)
+            if work > MAX_SCAN:
+                raise MalformedInput(
+                    f"halflog-zeros at p={self.p} n={self.n} k={self.k} N={self.N} "
+                    f"needs {work} work units, past {MAX_SCAN}"
+                )
 
 
 def _need_crt_margin(elem) -> None:
@@ -292,9 +311,12 @@ def _build_parser() -> _Parser:
     return top
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         sign = {"plus": PLUS, "minus": MINUS}.get(
             getattr(args, "sign", "plus"), getattr(args, "sign", PLUS)
         )

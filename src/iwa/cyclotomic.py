@@ -23,7 +23,7 @@ from .errors import (
     PrecisionExhausted,
     TrivialCharacter,
 )
-from .padic import PadicScalar, QuadExtScalar, check_odd_prime, teichmuller
+from .padic import PadicScalar, QuadExtScalar, check_odd_prime, int_valuation, teichmuller
 
 
 @lru_cache(maxsize=None)
@@ -337,6 +337,96 @@ class CharacterSpec:
             raise MalformedInput(f"bad character object: {exc}") from exc
 
 
+def _relative(p: int, x: int, cap: int):
+    """Relative digits cap - v_p(x) of x known mod p^cap; None when it vanishes there."""
+    x %= p**cap
+    return cap - int_valuation(x, p) if x else None
+
+
+def _zero_n(p: int, terms, zero_n_of) -> int:
+    """N field of the zero that adding capped terms in order leaves.
+
+    Terms are (x, cap, ...) with x known mod p^cap, and their sum vanishes
+    mod p^(least cap).  PadicScalar.add sets that field at the last
+    addition: the last term's N when the sum before it was zero, the
+    earlier sum's N when the last term was zero, and the smaller of the two
+    when both cancel.  A nonzero term's N is cap - v_p(x); a vanishing
+    term's comes from zero_n_of(term).
+    """
+    *head, last = terms
+    n_last = _relative(p, last[0], last[1])
+    last_zero = n_last is None
+    if last_zero:
+        n_last = zero_n_of(last)
+    if not head:
+        return n_last
+    n_head = _relative(p, sum(t[0] for t in head), min(t[1] for t in head))
+    if n_head is None:
+        return n_last
+    return n_head if last_zero else min(n_head, n_last)
+
+
+def _leg_value(grid, p: int, F: int, weights, ur: int, m: int, e: int) -> list:
+    """The phi(p^m) slots of one base grid's value at a character.
+
+    Integers over the leg's least valuation V: a nonzero coefficient u p^v
+    at torsion index a enters as u w_a p^(v-V), known to F + v - V digits.
+    Column r' sums its terms and takes the factor ur^r'; the column lands
+    on zeta^(e r'), and an exponent q p^(m-1) + s with q = p - 1 is minus
+    the sum over the lower q, by the defining relation of Phi_{p^m}.  A
+    slot is known to the least digits of the columns that feed it.
+    Coefficients that are zero at any precision are skipped, and a slot
+    that no column feeds is an exact zero.
+    """
+    out = [PadicScalar.zero(p, grid[0][0].N)] * phi_degree(p, m)
+    vals = [c.v for row in grid for c in row if c.u]
+    if not vals:
+        return out
+    V = min(vals)
+
+    def entry(c, w):
+        # a nonzero coefficient with its weight: (integer over p^V, cap)
+        return c.u * w * p ** (c.v - V), F + c.v - V
+
+    cols = {}
+    for w, row in zip(weights, grid):
+        for rp, c in enumerate(row):
+            if c.u:
+                t, cap = entry(c, w)
+                x, a = cols.get(rp, (0, cap))
+                cols[rp] = (x + t, min(a, cap))
+    mod, pm, block = p**F, p**m, p ** max(m - 1, 0)
+    feeds = {}
+    for rp in sorted(cols):
+        x, cap = cols[rp]
+        x *= pow(ur, rp, mod)
+        q, s = divmod(e * rp % pm, block)
+        if q < p - 1:
+            feeds.setdefault(q * block + s, []).append((x, cap, rp))
+        else:
+            for i in range(p - 1):
+                feeds.setdefault(i * block + s, []).append((-x, cap, rp))
+
+    def column_zero_n(fed_term):
+        # a cancelled column's own terms are nonzero: no deeper rule
+        rp = fed_term[2]
+        terms = [entry(row[rp], w) for w, row in zip(weights, grid) if row[rp].u]
+        return _zero_n(p, terms, None)
+
+    for slot, fed in feeds.items():
+        x, cap, _ = fed[0]
+        for t, a, _ in fed[1:]:
+            x += t
+            cap = min(cap, a)
+        x %= p**cap
+        if x:
+            v = int_valuation(x, p)
+            out[slot] = PadicScalar(p, V + v, x // p**v, cap - v)
+        else:
+            out[slot] = PadicScalar(p, V + cap, 0, _zero_n(p, fed, column_zero_n))
+    return out
+
+
 def eval_char(f, chi: CharacterSpec) -> CyclotomicScalar:
     """Evaluate a group-ring element at the character chi.
 
@@ -344,38 +434,24 @@ def eval_char(f, chi: CharacterSpec) -> CyclotomicScalar:
     the coefficient grid, with u = 1 + p and g the fixed generator of the
     torsion part.  Ring homomorphism in f for each fixed chi.  A quadratic
     element is evaluated leg by leg, and its value pairs the legs' values.
+
+    The work is on integers mod p^N, N = f.N.  Each slot carries the
+    value, valuation and N field that summing the capped PadicScalar
+    products term by term would leave it (_leg_value, _zero_n).
     """
-    p, n, N = f.p, f.n, f.N
+    p, n, F = f.p, f.n, f.N
     chi.validate(p, n)
-    g = primitive_root(p)
-    w = teichmuller(g, p, N)
-    weights = [w ** ((a * (chi.d + chi.r)) % (p - 1)) for a in range(p - 1)]
-    ur = PadicScalar.from_int(1 + p, p, N) ** chi.r
-    cols = p ** (n - 1)
-    upows = [PadicScalar.one(p, N)]
-    for _ in range(cols - 1):
-        upows.append(upows[-1] * ur)
-    values = []
-    for grid in f.legs:
-        terms = []
-        for rp in range(cols):
-            acc = None
-            for a in range(p - 1):
-                c = grid[a][rp]
-                if c.is_zero():
-                    continue
-                t = c * weights[a]
-                acc = t if acc is None else acc + t
-            if acc is not None:
-                terms.append(((chi.e * rp) % p**chi.m if chi.m else 0, acc * upows[rp]))
-        zero = PadicScalar.zero(p, grid[0][0].N)
-        values.append(CyclotomicScalar.from_exponent_terms(p, chi.m, terms, zero))
+    mod, t = p**F, (chi.d + chi.r) % (p - 1)
+    # with d + r = 0 mod p - 1 every torsion weight is 1
+    w = teichmuller(primitive_root(p), p, F).u if t else 1
+    weights = [pow(w, a * t % (p - 1), mod) for a in range(p - 1)]
+    ur = pow(1 + p, chi.r, mod)
+    m, e = chi.m, chi.e
+    values = [_leg_value(grid, p, F, weights, ur, m, e) for grid in f.legs]
     if len(values) == 1:
-        return values[0]
+        return CyclotomicScalar(p, m, values[0])
     a, b = values
-    return CyclotomicScalar(
-        p, chi.m, [QuadExtScalar(x, y, f.s) for x, y in zip(a.coeffs, b.coeffs)]
-    )
+    return CyclotomicScalar(p, m, [QuadExtScalar(x, y, f.s) for x, y in zip(a, b)])
 
 
 def character_value(chi: CharacterSpec, a: int, p: int, N: int) -> tuple[int, int]:

@@ -144,10 +144,17 @@ def zero_factor_counts(params: HalfLogParams, N: int) -> dict:
     p, n = params.p, params.n
     S = factor_indices(n, params.sign)
     pieces = [_phi_elem(p, n, [(j, s)], 1, N) for j in range(params.k - 1) for s in S]
-    return {
-        chi: sum(1 for elem in pieces if eval_char(elem, chi).is_zero())
-        for chi in character_grid(p, n, params.k)
-    }
+    grid = character_grid(p, n, params.k)
+    # every piece lives on torsion row 0, whose weight is omega^0 = 1, so its
+    # value does not depend on d: one scan per (m, e, r) serves every d.  It
+    # runs at d = -r, where every torsion weight is 1.
+    count = {}
+    for chi in grid:
+        key = (chi.m, chi.e, chi.r)
+        if key not in count:
+            rep = CharacterSpec((-chi.r) % (p - 1), *key)
+            count[key] = sum(1 for elem in pieces if eval_char(elem, rep).is_zero())
+    return {chi: count[chi.m, chi.e, chi.r] for chi in grid}
 
 
 def vanishing_locus(params: HalfLogParams, N: int) -> frozenset:

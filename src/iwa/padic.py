@@ -265,20 +265,16 @@ class PadicScalar:
 def teichmuller(a: int, p: int, N: int) -> PadicScalar:
     """The (p-1)-st root of unity congruent to a mod p.
 
-    Computed by iterating x -> x^p mod p^N to its fixed point, which the
-    congruence x^p = x mod p^(j+1) reaches in at most N steps.
+    Computed as a^(p^(N-1)) mod p^N: a is that root times a one-unit, the
+    one-unit raised to p^(N-1) is 1 mod p^N, and the root is fixed because
+    p^(N-1) = 1 mod p-1.
     """
     check_odd_prime(p)
     if a % p == 0:
         raise InvalidResidue(f"{a} is divisible by {p}")
-    mod = p**N
-    x = a % mod
-    for _ in range(N + 1):
-        y = pow(x, p, mod)
-        if y == x:
-            return PadicScalar(p, 0, x, N)
-        x = y
-    raise PrecisionExhausted("teichmuller iteration failed to stabilize")
+    if N < 1:
+        raise InvalidParameter("N must be >= 1")
+    return PadicScalar(p, 0, pow(a, p ** (N - 1), p**N), N)
 
 
 def val_growth_constant(x: PadicScalar) -> int:

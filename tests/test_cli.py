@@ -171,6 +171,9 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert main(["halflog", "--p", "3", "--n", "3", "--k", "3", "--N", "1000000000"]) == 64
     assert main(["qpn", "dims", "--p", "3", "--n", "9"]) == 64
     assert main(["halflog-zeros", "--p", "3", "--n", "5", "--k", "3", "--N", "2000"]) == 64
+    # zero scans past MAX_SCAN work units (these would run for hours)
+    assert main(["halflog-zeros", "--p", "3", "--n", "9", "--k", "3"]) == 64
+    assert main(["halflog-zeros", "--p", "31", "--n", "2", "--k", "500", "--sign", "minus"]) == 64
     assert main(["halflog", "--p", "1000003"]) == 64
     # and JSON input alike: a coefficient N past the limit, a grid too large
     big = tmp_path / "big.json"

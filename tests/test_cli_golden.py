@@ -61,6 +61,8 @@ def base_outputs(tmp_path):
         for p, n, k, sign in [(3, 4, 3, "plus"), (3, 4, 2, "minus"), (5, 3, 3, "minus")]:
             argv = [cmd, "--p", str(p), "--n", str(n), "--k", str(k), "--N", str(N), "--sign", sign]
             out[f"{cmd} p={p} n={n} k={k} {sign}"] = _run(argv, tmp_path)
+    argv = ["halflog-zeros", "--p", "3", "--n", "6", "--k", "4", "--N", str(N), "--sign", "plus"]
+    out["halflog-zeros p=3 n=6 k=4 plus"] = _run(argv, tmp_path)
     return out
 
 
@@ -81,6 +83,7 @@ BASE_SHA256 = {
     "halflog-zeros p=3 n=4 k=3 plus": "5ebb036c624676ab952595ab0e1a1bcaad30d10cf30eca42d15940ccec602fff",
     "halflog-zeros p=3 n=4 k=2 minus": "8dff48d57e773b9e4ce4b7f5b46ef289987adf557e1278d0b1f2c9d63e6fc4b5",
     "halflog-zeros p=5 n=3 k=3 minus": "9f355814ebc470586b517e9d75ee9d1c34c9a409460cd7e3e822a7ccfc78bff6",
+    "halflog-zeros p=3 n=6 k=4 plus": "72b41b6d596fd5a6d559117a61717f61f472e190f76a5e3e48637f4be037d6b1",
 }
 
 # (p, n, k, eps, seed) of the quadratic cases

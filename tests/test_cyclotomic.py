@@ -22,7 +22,7 @@ from iwa.errors import (
     InvalidParameter,
     TrivialCharacter,
 )
-from iwa.padic import PadicScalar, QuadExtScalar
+from iwa.padic import PadicScalar, QuadExtScalar, teichmuller
 from iwa.rng import SplitMix64
 
 
@@ -381,6 +381,144 @@ def test_eval_at_trivial_character_is_augmentation():
             total = c if total is None else total + c
     got = eval_char(f, CharacterSpec(0, 0, 1, 0))
     assert got.coeffs[0] == total
+
+
+def _reference_eval_char(f, chi):
+    """eval_char as a sum of capped PadicScalar products, term by term."""
+    p, n, N = f.p, f.n, f.N
+    chi.validate(p, n)
+    g = primitive_root(p)
+    w = teichmuller(g, p, N)
+    weights = [w ** ((a * (chi.d + chi.r)) % (p - 1)) for a in range(p - 1)]
+    ur = PadicScalar.from_int(1 + p, p, N) ** chi.r
+    cols = p ** (n - 1)
+    upows = [PadicScalar.one(p, N)]
+    for _ in range(cols - 1):
+        upows.append(upows[-1] * ur)
+    values = []
+    for grid in f.legs:
+        terms = []
+        for rp in range(cols):
+            acc = None
+            for a in range(p - 1):
+                c = grid[a][rp]
+                if c.is_zero():
+                    continue
+                t = c * weights[a]
+                acc = t if acc is None else acc + t
+            if acc is not None:
+                terms.append(((chi.e * rp) % p**chi.m if chi.m else 0, acc * upows[rp]))
+        zero = PadicScalar.zero(p, grid[0][0].N)
+        values.append(CyclotomicScalar.from_exponent_terms(p, chi.m, terms, zero))
+    if len(values) == 1:
+        return values[0]
+    a, b = values
+    return CyclotomicScalar(
+        p, chi.m, [QuadExtScalar(x, y, f.s) for x, y in zip(a.coeffs, b.coeffs)]
+    )
+
+
+def _assert_matches_reference(f, chi):
+    got, want = eval_char(f, chi), _reference_eval_char(f, chi)
+    assert (got.p, got.m, len(got.coeffs)) == (want.p, want.m, len(want.coeffs))
+    for x, y in zip(got.coeffs, want.coeffs):
+        pairs = [(x.a, y.a), (x.b, y.b)] if isinstance(y, QuadExtScalar) else [(x, y)]
+        for s, t in pairs:
+            assert s.identical(t), (chi, s, t)
+    return got
+
+
+def _sampled_characters(rng, p, n, per_m=4):
+    """Every gamma-order p^m, m < n, with seeded d, e and twists r <= 3."""
+    out = []
+    for m in range(n):
+        units = [1] if m == 0 else [e for e in range(1, p**m) if e % p]
+        for _ in range(per_m):
+            e = units[rng.randbelow(len(units))]
+            out.append(CharacterSpec(rng.randbelow(p - 1), m, e, rng.randbelow(4)))
+    return out
+
+
+def _mixed_grid(rng, p, n, N):
+    """Exact zeros, finite zeros, negative valuations, digits above N."""
+    rows = []
+    for _ in range(p - 1):
+        row = []
+        for _ in range(p ** (n - 1)):
+            Nc = N + rng.randbelow(3)
+            kind = rng.randbelow(6)
+            if kind == 0:
+                row.append(PadicScalar.zero(p, Nc))
+            elif kind == 1:
+                row.append(PadicScalar.zero(p, Nc, rng.randrange(-2, 6)))
+            else:
+                u = rng.randrange(1, p**Nc)
+                u = u if u % p else u + 1
+                row.append(PadicScalar(p, rng.randrange(-3, 4), u, Nc))
+        rows.append(row)
+    rows[0][0] = PadicScalar.one(p, N)
+    return rows
+
+
+def test_eval_char_matches_the_scalar_sum_on_mixed_grids():
+    from iwa.groupring import GroupRingElem
+
+    rng = SplitMix64(1313)
+    for p, top in [(3, 4), (5, 3), (7, 3)]:
+        for n in range(1, top + 1):
+            for _ in range(3):
+                f = GroupRingElem(p, n, _mixed_grid(rng, p, n, 6 + rng.randbelow(30)))
+                for chi in _sampled_characters(rng, p, n):
+                    _assert_matches_reference(f, chi)
+
+
+def test_eval_char_matches_the_scalar_sum_on_cancelling_grids():
+    # +-1, +-9, +-27 and their sums cancel at p = 3, where the torsion
+    # weights are +-1; zeros must keep the N field their last addition gives
+    from iwa.groupring import GroupRingElem
+
+    p = 3
+    values = [0, 1, -1, 9, -9, 27, -27, 10, -10, 28, -28]
+    rng = SplitMix64(2718)
+    short_zeros = 0
+    for n in (1, 2, 3, 4):
+        for i in range(60):
+            N = (2, 3, 4, 6)[i % 4]
+            rows = [
+                [PadicScalar.from_int(values[rng.randbelow(len(values))], p, N)
+                 for _ in range(p ** (n - 1))]
+                for _ in range(p - 1)
+            ]
+            f = GroupRingElem(p, n, rows)
+            for chi in _sampled_characters(rng, p, n, per_m=2) + [CharacterSpec(0, 0, 1, 0)]:
+                got = _assert_matches_reference(f, chi)
+                short_zeros += sum(
+                    1 for c in got.coeffs if c.is_zero() and c.v != inf and c.N < f.N
+                )
+    assert short_zeros > 0
+    # columns 0, 54 = 2 * 27 and 0: the sum before the last column is known
+    # mod 3^4 with N = 1, and the last column cancels mod 3^3, so the slot is
+    # 0 mod 3^3 with the earlier sum's N
+    rows = ([-3, 27, 10], [3, 27, -10])
+    f = GroupRingElem(p, 2, [[PadicScalar.from_int(x, p, 3) for x in row] for row in rows])
+    got = _assert_matches_reference(f, CharacterSpec(0, 0, 1, 0))
+    assert got.coeffs[0].identical(PadicScalar.zero(p, 1, 3))
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (3, 4), (5, 3)])
+def test_eval_char_matches_the_scalar_sum_on_composed_pairs(p, n):
+    from iwa.groupring import random_element
+    from iwa.halflogs import PLUS, HalfLogParams
+    from iwa.plusminus import compose, make_alpha
+
+    rng = SplitMix64(100 * p + n)
+    alpha = make_alpha(p, 2, 1, 40)
+    A = random_element(p, n, 40, rng).to_quad(alpha.s)
+    B = random_element(p, n, 40, rng).to_quad(alpha.s)
+    pair = compose(A, B, HalfLogParams(p=p, k=2, n=n, sign=PLUS), alpha)
+    for chi in _sampled_characters(rng, p, n, per_m=3):
+        _assert_matches_reference(pair.L1, chi)
+        _assert_matches_reference(pair.L2, chi)
 
 
 def test_quad_coefficients_supported():

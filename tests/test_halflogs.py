@@ -335,3 +335,20 @@ def test_zero_scan_pieces_are_twisted_phis():
             for s in range(1, n):
                 piece = _phi_elem(p, n, [(j, s)], 1, N)
                 assert piece.identical(twist_gamma(phi(p, n, s, N), j))
+
+
+@pytest.mark.parametrize("p, n, k", [(3, 4, 3), (5, 3, 3), (7, 3, 2)])
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_zero_scan_counts_match_a_scan_of_every_character(p, n, k, sign):
+    # one evaluation per (m, e, r) must give every d the count that
+    # evaluating each piece at each character gives
+    N = 40
+    pieces = [
+        _phi_elem(p, n, [(j, s)], 1, N) for j in range(k - 1) for s in factor_indices(n, sign)
+    ]
+    want = {
+        chi: sum(1 for piece in pieces if eval_char(piece, chi).is_zero())
+        for chi in character_grid(p, n, k)
+    }
+    got = zero_factor_counts(HalfLogParams(p=p, k=k, n=n, sign=sign), N)
+    assert list(got.items()) == list(want.items())

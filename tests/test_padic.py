@@ -204,6 +204,19 @@ def test_teichmuller_values_and_laws():
         teichmuller(1, 4, 4)
 
 
+def test_teichmuller_is_the_fixed_point_of_the_p_th_power():
+    # the fixed point of x -> x^p mod p^N reached from a, for every unit
+    # residue; one modular power must give the same digits
+    for p in (3, 5, 7, 11, 13):
+        for N in range(1, 61):
+            mod = p**N
+            for a in range(1, p):
+                x = a
+                while pow(x, p, mod) != x:
+                    x = pow(x, p, mod)
+                assert teichmuller(a, p, N).identical(PadicScalar(p, 0, x, N))
+
+
 def test_valuation_growth_frozen_cases():
     # v_3(4^9 - 1) = 3 = 2 + v_3(4-1); big-integer check: 4^9-1 = 262143 = 27*9709
     assert int_val(4**9 - 1, 3) == 3
