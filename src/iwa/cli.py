@@ -2,19 +2,19 @@
 
 Every command reads and writes JSON with sorted keys, so a fixed
 (arguments, seed, input) triple produces bit-identical output across runs.
-Exit codes: 0 success, 1 a verification or admissibility report failed,
-2 not divisible / not decomposable, 3 unbounded component, 4 input lacks the
-digits this computation needs, 64 malformed input or arguments, 70 internal
-error.
+Each command accepts only the flags it reads.  Exit codes: 0 success, 1 a
+verification or admissibility report failed, 2 not divisible / not
+decomposable, 3 unbounded component, 4 input lacks the digits this
+computation needs, 64 malformed input or arguments, 70 internal error.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .cyclotomic import CharacterSpec, eval_char
 from .errors import (
+    BadConductor,
     InvalidParameter,
     IwaError,
     MalformedInput,
@@ -57,65 +57,48 @@ EXIT_INTERNAL = 70
 # work of a halflog-zeros scan (_scan_work)
 MAX_N, MAX_GRID, MAX_QPN_DIM, MAX_SCAN = 1000, 20000, 500, 5 * 10**8
 
+_SIGNS = {"plus": PLUS, "minus": MINUS}
+
 
 def _check_size(p=3, n=1, N=1, limit=MAX_GRID) -> None:
+    if n < 1 or N < 1:
+        raise MalformedInput(f"n and N must be at least 1, got n={n} N={N}")
     # p^(n-1) is formed only once n is known to be small
-    if N > MAX_N or n - 1 > limit.bit_length() or (p - 1) * p ** max(n - 1, 0) > limit:
+    if N > MAX_N or n - 1 > limit.bit_length() or (p - 1) * p ** (n - 1) > limit:
         raise MalformedInput(f"p={p} n={n} N={N} past N <= {MAX_N}, (p-1) p^(n-1) <= {limit}")
 
 
-def _scan_work(p, n, k, N, sign) -> int:
+def _scan_work(params: HalfLogParams, N: int) -> int:
     """Work units of a zero scan: (k-1)^2 |S| p^(n-1) evaluations, |S| the
     factor indices, each a pass over the (p-1) p^(n-1) grid plus p products
     of N digits, with 200 more per product for the fixed cost of an
     evaluation.  |S| counts as at least 1, for the character grid itself.
     """
-    evals = (k - 1) ** 2 * max(len(factor_indices(n, sign)), 1) * p ** (n - 1)
+    p, n, k = params.p, params.n, params.k
+    evals = (k - 1) ** 2 * max(len(factor_indices(n, params.sign)), 1) * p ** (n - 1)
     return evals * ((p - 1) * p ** (n - 1) + p * (N + 200))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
+def _flag(check, *args):
+    """Run a library check on flag values; its refusal is a usage error."""
+    try:
+        return check(*args)
+    except (InvalidParameter, BadConductor) as exc:
+        raise MalformedInput(str(exc)) from exc
 
-    p: int = 3
-    k: int = 2
-    n: int = 1
-    N: int = 40
-    eps: int = 1
-    sign: str = PLUS
-    seed: int = DEFAULT_SEED
-    inp: str | None = None
-    out: str | None = None
 
-    def validate(self, command: str) -> None:
-        _check_size(self.p, self.n, self.N, MAX_QPN_DIM if command == "qpn" else MAX_GRID)
-        try:
-            check_odd_prime(self.p)
-        except InvalidParameter as exc:
-            raise MalformedInput(str(exc)) from exc
-        if self.k < 2:
-            raise MalformedInput(f"k must be at least 2, got {self.k}")
-        if self.n < 1:
-            raise MalformedInput(f"n must be at least 1, got {self.n}")
-        if self.N < 1:
-            raise MalformedInput(f"N must be at least 1, got {self.N}")
-        if self.eps % self.p == 0:
-            raise MalformedInput(f"eps must be a unit mod p, got {self.eps}")
-        if command == "halflog-zeros":
-            work = _scan_work(self.p, self.n, self.k, self.N, self.sign)
-            if work > MAX_SCAN:
-                raise MalformedInput(
-                    f"halflog-zeros at p={self.p} n={self.n} k={self.k} N={self.N} "
-                    f"needs {work} work units, past {MAX_SCAN}"
-                )
+def _halflog_params(args) -> HalfLogParams:
+    _check_size(args.p, args.n, args.N)
+    return _flag(HalfLogParams, args.p, args.k, args.n, _SIGNS[args.sign])
 
 
 def _need_crt_margin(elem) -> None:
-    # slot arithmetic spends idempotent denominators; the library refuses
-    # later anyway, but with an internal-error code instead of a usage one
+    # slot projectors spend up to n - 1 digits and quotient chains need the
+    # rest: divide would stop in crt_context with PrecisionExhausted, but
+    # decompose tests divisibility first and would report a thin pair as not
+    # decomposable, so both refuse it here as a shortfall of digits
     if elem.N < elem.n + 10:
-        raise MalformedInput(
+        raise PrecisionExhausted(
             f"element precision N = {elem.N} too small: "
             f"slot arithmetic needs N >= n + 10 = {elem.n + 10}"
         )
@@ -130,9 +113,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_json(path: str | None) -> dict:
-    if path is None:
-        raise MalformedInput("this command needs --in")
+def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_hook=_sized)
@@ -172,54 +153,65 @@ def _chars_sorted(locus) -> list:
 # -- command bodies ----------------------------------------------------------------
 
 
-def cmd_decompose(cfg: RunConfig, floor: int) -> int:
-    pair = AdmissiblePair.from_json(_read_json(cfg.inp), cfg.N)
+def cmd_decompose(args) -> int:
+    _check_size(N=args.N)
+    pair = AdmissiblePair.from_json(_read_json(args.inp), args.N)
     _need_crt_margin(pair.L1)
     _need_crt_margin(pair.L2)
-    pm = decompose(pair, floor=floor)
-    _write_json(pm.to_json(), cfg.out)
+    pm = decompose(pair, floor=args.floor)
+    _write_json(pm.to_json(), args.out)
     return EXIT_OK
 
 
-def cmd_compose(cfg: RunConfig) -> int:
-    pm = pm_from_json(_read_json(cfg.inp), cfg.N)
+def cmd_compose(args) -> int:
+    _check_size(N=args.N)
+    pm = pm_from_json(_read_json(args.inp), args.N)
     pair = compose(pm.Lplus, pm.Lminus, pm.params, pm.alpha)
-    _write_json(pair.to_json(), cfg.out)
+    _write_json(pair.to_json(), args.out)
     return EXIT_OK
 
 
-def cmd_admissible(cfg: RunConfig) -> int:
-    pair = AdmissiblePair.from_json(_read_json(cfg.inp), cfg.N)
+def cmd_admissible(args) -> int:
+    _check_size(N=args.N)
+    pair = AdmissiblePair.from_json(_read_json(args.inp), args.N)
     report = check_admissible(pair)
-    _write_json(report.to_json(), cfg.out)
+    _write_json(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_REPORT_FAILED
 
 
-def cmd_divide(cfg: RunConfig, m: int) -> int:
-    f = GroupRingElem.from_json(_read_json(cfg.inp))
+def cmd_divide(args) -> int:
+    if args.m < 1:
+        raise MalformedInput(f"m must be at least 1, got {args.m}")
+    f = GroupRingElem.from_json(_read_json(args.inp))
     _need_crt_margin(f)
-    q = divide_exact(f, m)
-    _write_json(q.to_json(), cfg.out)
+    q = divide_exact(f, args.m)
+    _write_json(q.to_json(), args.out)
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig, d: int, m: int, e: int, r: int) -> int:
-    f = GroupRingElem.from_json(_read_json(cfg.inp))
-    chi = CharacterSpec(d=d, m=m, e=e, r=r)
-    chi.validate(f.p, f.n)
-    _write_json(eval_char(f, chi).to_json(), cfg.out)
+def cmd_eval(args) -> int:
+    f = GroupRingElem.from_json(_read_json(args.inp))
+    chi = CharacterSpec(d=args.d, m=args.m, e=args.e, r=args.r)
+    _flag(chi.validate, f.p, f.n)
+    _write_json(eval_char(f, chi).to_json(), args.out)
     return EXIT_OK
 
 
-def cmd_halflog(cfg: RunConfig) -> int:
-    params = HalfLogParams(p=cfg.p, k=cfg.k, n=cfg.n, sign=cfg.sign, eps=cfg.eps)
-    _write_json(log_trunc(params, cfg.N).to_json(), cfg.out)
+def cmd_halflog(args) -> int:
+    params = _halflog_params(args)
+    _write_json(log_trunc(params, args.N).to_json(), args.out)
     return EXIT_OK
 
 
-def cmd_halflog_zeros(cfg: RunConfig) -> int:
-    params = HalfLogParams(p=cfg.p, k=cfg.k, n=cfg.n, sign=cfg.sign, eps=cfg.eps)
-    computed = vanishing_locus(params, cfg.N)
+def cmd_halflog_zeros(args) -> int:
+    params = _halflog_params(args)
+    work = _scan_work(params, args.N)
+    if work > MAX_SCAN:
+        raise MalformedInput(
+            f"halflog-zeros at p={params.p} n={params.n} k={params.k} N={args.N} "
+            f"needs {work} work units, past {MAX_SCAN}"
+        )
+    computed = vanishing_locus(params, args.N)
     predicted = predicted_locus(params)
     _write_json(
         {
@@ -228,86 +220,82 @@ def cmd_halflog_zeros(cfg: RunConfig) -> int:
             "predicted": _chars_sorted(predicted),
             "match": computed == predicted,
         },
-        cfg.out,
+        args.out,
     )
     return EXIT_OK
 
 
-def cmd_qpn(cfg: RunConfig, action: str) -> int:
-    if action == "dims":
-        qp = plus_minus_space(cfg.p, cfg.n, PLUS)
-        qm = plus_minus_space(cfg.p, cfg.n, MINUS)
-        rp = r_space(cfg.p, cfg.n, PLUS)
-        rm = r_space(cfg.p, cfg.n, MINUS)
-        _write_json(
-            {
-                "p": cfg.p,
-                "n": cfg.n,
-                "Qplus": qp.rank,
-                "Qminus": qm.rank,
-                "Rplus": rp.rank,
-                "Rminus": rm.rank,
-                "formula_plus": dim_plus_formula(cfg.p, cfg.n),
-                "formula_minus": dim_minus_formula(cfg.p, cfg.n),
-                "coincide": spaces_equal(qp, rp) and spaces_equal(qm, rm),
-            },
-            cfg.out,
-        )
-        return EXIT_OK
-    report = run_suite("dims", cfg.seed)
-    _write_json(report, cfg.out)
-    return EXIT_OK if report["passed"] else EXIT_REPORT_FAILED
+def cmd_qpn(args) -> int:
+    p, n = args.p, args.n
+    _check_size(p, n, limit=MAX_QPN_DIM)
+    _flag(check_odd_prime, p)
+    qp = plus_minus_space(p, n, PLUS)
+    qm = plus_minus_space(p, n, MINUS)
+    rp = r_space(p, n, PLUS)
+    rm = r_space(p, n, MINUS)
+    _write_json(
+        {
+            "p": p,
+            "n": n,
+            "Qplus": qp.rank,
+            "Qminus": qm.rank,
+            "Rplus": rp.rank,
+            "Rminus": rm.rank,
+            "formula_plus": dim_plus_formula(p, n),
+            "formula_minus": dim_minus_formula(p, n),
+            "coincide": spaces_equal(qp, rp) and spaces_equal(qm, rm),
+        },
+        args.out,
+    )
+    return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    report = run_suite(suite, cfg.seed)
-    _write_json(report, cfg.out)
+def cmd_verify(args) -> int:
+    report = run_suite(args.suite, args.seed)
+    _write_json(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_REPORT_FAILED
 
 
 # -- argument wiring ---------------------------------------------------------------
 
+# how each flag parses; a command declares the ones it reads
+_FLAGS = {
+    "in": {"dest": "inp", "required": True},
+    "out": {},
+    "p": {"type": int, "default": 3},
+    "k": {"type": int, "default": 2},
+    "n": {"type": int, "default": 1},
+    "N": {"type": int, "default": 40},
+    "sign": {"choices": tuple(_SIGNS), "default": "plus"},
+    "floor": {"type": int, "default": 0},
+    "d": {"type": int, "default": 0},
+    "m": {"type": int, "default": 0},
+    "e": {"type": int, "default": 1},
+    "r": {"type": int, "default": 0},
+    "seed": {"type": int, "default": DEFAULT_SEED},
+    "suite": {"choices": ("all",) + tuple(SUITES), "default": "all"},
+}
+
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--p", type=int, default=3)
-    common.add_argument("--k", type=int, default=2)
-    common.add_argument("--n", type=int, default=1)
-    common.add_argument("--N", type=int, default=40)
-    common.add_argument("--eps", type=int, default=1)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--in", dest="inp", default=None)
-    common.add_argument("--out", default=None)
-
     top = _Parser(prog="iwa", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sp = sub.add_parser("decompose", parents=[common])
-    sp.add_argument("--floor", type=int, default=0)
+    def command(name, *flags):
+        sp = sub.add_parser(name)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+        return sp
 
-    sub.add_parser("compose", parents=[common])
-    sub.add_parser("admissible", parents=[common])
-
-    sp = sub.add_parser("divide", parents=[common])
-    sp.add_argument("--m", type=int, required=True)
-
-    sp = sub.add_parser("eval", parents=[common])
-    sp.add_argument("--d", type=int, default=0)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--e", type=int, default=1)
-    sp.add_argument("--r", type=int, default=0)
-
-    for name in ("halflog", "halflog-zeros"):
-        sp = sub.add_parser(name, parents=[common])
-        sp.add_argument(
-            "--sign", choices=("plus", "minus", PLUS, MINUS), default="plus"
-        )
-
-    sp = sub.add_parser("qpn", parents=[common])
-    sp.add_argument("action", choices=("dims", "verify"))
-
-    sp = sub.add_parser("verify", parents=[common])
-    sp.add_argument("--suite", choices=("all",) + tuple(SUITES), default="all")
+    command("decompose", "in", "out", "N", "floor")
+    command("compose", "in", "out", "N")
+    command("admissible", "in", "out", "N")
+    command("divide", "in", "out").add_argument("--m", type=int, required=True)
+    command("eval", "in", "out", "d", "m", "e", "r")
+    command("halflog", "p", "k", "n", "N", "sign", "out")
+    command("halflog-zeros", "p", "k", "n", "N", "sign", "out")
+    command("qpn", "p", "n", "out").add_argument("action", choices=("dims",))
+    command("verify", "suite", "seed", "out")
     return top
 
 
@@ -317,38 +305,8 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        sign = {"plus": PLUS, "minus": MINUS}.get(
-            getattr(args, "sign", "plus"), getattr(args, "sign", PLUS)
-        )
-        cfg = RunConfig(
-            p=args.p,
-            k=args.k,
-            n=args.n,
-            N=args.N,
-            eps=args.eps,
-            sign=sign,
-            seed=args.seed,
-            inp=args.inp,
-            out=args.out,
-        )
-        cfg.validate(args.command)
-        if args.command == "decompose":
-            return cmd_decompose(cfg, args.floor)
-        if args.command == "compose":
-            return cmd_compose(cfg)
-        if args.command == "admissible":
-            return cmd_admissible(cfg)
-        if args.command == "divide":
-            return cmd_divide(cfg, args.m)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.d, args.m, args.e, args.r)
-        if args.command == "halflog":
-            return cmd_halflog(cfg)
-        if args.command == "halflog-zeros":
-            return cmd_halflog_zeros(cfg)
-        if args.command == "qpn":
-            return cmd_qpn(cfg, args.action)
-        return cmd_verify(cfg, args.suite)
+        # looked up when called, so a wrapper bound to a cmd_* name later is used
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except MalformedInput as exc:

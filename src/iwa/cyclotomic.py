@@ -11,15 +11,13 @@ r-th power of the cyclotomic character.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, inf
+from math import gcd
 
 from .errors import (
     BadConductor,
     DivideByZero,
     InvalidParameter,
-    MalformedInput,
     PrecisionExhausted,
     TrivialCharacter,
 )
@@ -236,33 +234,6 @@ class CyclotomicScalar:
 
     __hash__ = None
 
-    def pi_valuation(self):
-        """Valuation normalized by v(p) = 1, as an exact Fraction.
-
-        Rewrites the element in powers of pi = 1 - zeta; the candidate
-        valuations j/phi + v_p(d_j) are pairwise distinct mod 1, so the
-        minimum is exact.  Returns inf for zero at precision.  Base-ring
-        coefficients only.
-        """
-        if any(isinstance(c, QuadExtScalar) for c in self.coeffs):
-            raise InvalidParameter("pi_valuation is defined over the base ring")
-        if self.m == 0:
-            c = self.coeffs[0]
-            return inf if c.is_zero() else Fraction(c.v)
-        e = len(self.coeffs)
-        best = inf
-        for j in range(e):
-            d = None
-            for i in range(j, e):
-                t = self.coeffs[i] * comb(i, j)
-                d = t if d is None else d + t
-            if d is None or d.is_zero():
-                continue
-            cand = Fraction(d.v) + Fraction(j, e)
-            if cand < best:
-                best = cand
-        return best
-
     def __repr__(self):
         return f"CyclotomicScalar(p={self.p}, m={self.m}, {list(self.coeffs)!r})"
 
@@ -272,23 +243,6 @@ class CyclotomicScalar:
             "m": self.m,
             "coeffs": [c.to_json() for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CyclotomicScalar":
-        try:
-            p = int(obj["p"])
-            m = int(obj["m"])
-            raw = obj["coeffs"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad cyclotomic object: {exc}") from exc
-        coeffs = [
-            QuadExtScalar.from_json(c) if "a" in c else PadicScalar.from_json(c)
-            for c in raw
-        ]
-        try:
-            return cls(p, m, coeffs)
-        except InvalidParameter as exc:
-            raise MalformedInput(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -328,13 +282,6 @@ class CharacterSpec:
 
     def to_json(self) -> dict:
         return {"d": self.d, "m": self.m, "e": self.e, "r": self.r}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CharacterSpec":
-        try:
-            return cls(int(obj["d"]), int(obj["m"]), int(obj["e"]), int(obj["r"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad character object: {exc}") from exc
 
 
 def _relative(p: int, x: int, cap: int):

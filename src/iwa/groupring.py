@@ -274,7 +274,7 @@ class GroupRingElem:
     def coeffs(self):
         """The grid of a base element."""
         if len(self.legs) == 2:
-            raise InvalidParameter("a quadratic element has two grids: use part_a/part_b")
+            raise InvalidParameter("a quadratic element has two grids: read .legs")
         return self.legs[0]
 
     @property
@@ -293,9 +293,8 @@ class GroupRingElem:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zeros(cls, p, n, N, kind=BASE, s=None):
-        out = cls(p, n, [[PadicScalar.zero(p, N)] * p ** (n - 1) for _ in range(p - 1)])
-        return out.to_quad(s) if kind == QUAD else out
+    def zeros(cls, p, n, N):
+        return cls(p, n, [[PadicScalar.zero(p, N)] * p ** (n - 1) for _ in range(p - 1)])
 
     @classmethod
     def monomial(cls, p, n, N, scalar, a=0, r=0):
@@ -395,16 +394,6 @@ class GroupRingElem:
             return self
         A = self.legs[0]
         return GroupRingElem(self.p, self.n, A, _zeros_like(A), s=s)
-
-    def part_a(self) -> "GroupRingElem":
-        if self.s is None:
-            return self
-        return GroupRingElem(self.p, self.n, self.legs[0])
-
-    def part_b(self) -> "GroupRingElem":
-        if self.s is None:
-            raise InvalidParameter("base elements have no alpha part")
-        return GroupRingElem(self.p, self.n, self.legs[1])
 
     def min_valuation(self):
         """Smallest coefficient valuation; the alpha leg adds v(alpha) = v(s)/2."""
@@ -730,12 +719,12 @@ def slot_is_zero(comps, m: int) -> bool:
     return all(row.is_zero() for row in comps[m])
 
 
-def random_element(p, n, N, rng, kind=BASE, s=None, digits=6) -> GroupRingElem:
-    """Seeded random element with integral coefficients below p^digits.
+def random_element(p, n, N, rng, kind=BASE, s=None) -> GroupRingElem:
+    """Seeded random element with integral coefficients below p^6.
 
     A quadratic element draws its two legs coefficient by coefficient.
     """
-    bound = p**digits
+    bound = p**6
     count = 2 if kind == QUAD else 1
     draws = [
         [[PadicScalar.from_int(rng.randbelow(bound), p, N) for _ in range(count)]

@@ -357,9 +357,6 @@ class QuadExtScalar:
         vb = 2 * self.b.v + self.s.v if not self.b.is_zero() else INF
         return min(va, vb)
 
-    def conj(self) -> "QuadExtScalar":
-        return QuadExtScalar(self.a, -self.b, self.s)
-
     def norm(self) -> PadicScalar:
         """(a + b*alpha)(a - b*alpha) = a^2 - s*b^2."""
         return self.a * self.a - self.s * self.b * self.b

@@ -26,6 +26,7 @@ from math import inf
 from .cyclotomic import CharacterSpec, eval_char
 from .errors import (
     InvalidParameter,
+    MalformedInput,
     NotDecomposable,
     PrecisionExhausted,
     ShapeMismatch,
@@ -97,8 +98,6 @@ class AdmissiblePair:
 
     @classmethod
     def from_json(cls, obj: dict, N: int | None = None) -> "AdmissiblePair":
-        from .errors import MalformedInput
-
         try:
             k = int(obj["k"])
             eps = int(obj["eps"])
@@ -106,13 +105,12 @@ class AdmissiblePair:
             raise MalformedInput(f"bad pair object: {exc}") from exc
         L1 = GroupRingElem.from_json(obj["L1"])
         L2 = GroupRingElem.from_json(obj["L2"])
-        params = HalfLogParams(L1.p, k, L1.n, PLUS, eps)
-        alpha = make_alpha(L1.p, k, eps, N or L1.N)
-        if L1.kind == "base":
-            L1 = L1.to_quad(alpha.s)
-        if L2.kind == "base":
-            L2 = L2.to_quad(alpha.s)
-        return cls(L1, L2, params, alpha)
+        try:
+            params = HalfLogParams(L1.p, k, L1.n, PLUS, eps)
+            alpha = make_alpha(L1.p, k, eps, N or L1.N)
+            return cls(L1.to_quad(alpha.s), L2.to_quad(alpha.s), params, alpha)
+        except (InvalidParameter, ShapeMismatch) as exc:
+            raise MalformedInput(f"bad pair object: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -138,8 +136,6 @@ class PMDecomposition:
 
 
 def pm_from_json(obj: dict, N: int | None = None) -> PMDecomposition:
-    from .errors import MalformedInput
-
     try:
         k = int(obj["k"])
         eps = int(obj["eps"])
@@ -147,12 +143,15 @@ def pm_from_json(obj: dict, N: int | None = None) -> PMDecomposition:
         raise MalformedInput(f"bad decomposition object: {exc}") from exc
     Lp = GroupRingElem.from_json(obj["Lplus"])
     Lm = GroupRingElem.from_json(obj["Lminus"])
-    params = HalfLogParams(Lp.p, k, Lp.n, PLUS, eps)
-    alpha = make_alpha(Lp.p, k, eps, N or Lp.N)
-    if Lp.kind == "base":
-        Lp = Lp.to_quad(alpha.s)
-    if Lm.kind == "base":
-        Lm = Lm.to_quad(alpha.s)
+    if (Lp.p, Lp.n) != (Lm.p, Lm.n):
+        raise MalformedInput("bad decomposition object: components disagree on (p, n)")
+    try:
+        params = HalfLogParams(Lp.p, k, Lp.n, PLUS, eps)
+        alpha = make_alpha(Lp.p, k, eps, N or Lp.N)
+        # to_quad refuses a component that lives in another extension
+        Lp, Lm = Lp.to_quad(alpha.s), Lm.to_quad(alpha.s)
+    except (InvalidParameter, ShapeMismatch) as exc:
+        raise MalformedInput(f"bad decomposition object: {exc}") from exc
     return PMDecomposition(
         Lp,
         Lm,

@@ -1,4 +1,4 @@
-"""Deterministic 64-bit splittable PRNG (splitmix64).
+"""Deterministic 64-bit PRNG (splitmix64).
 
 All randomized commands and test suites draw from this generator so a run is
 reproducible bit-for-bit from (config, seed) on any platform.  The stream is
@@ -17,7 +17,7 @@ def _mix(z: int) -> int:
 
 
 class SplitMix64:
-    """Splittable PRNG with 64 bits of state."""
+    """PRNG with 64 bits of state."""
 
     __slots__ = ("_state",)
 
@@ -27,10 +27,6 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
         return _mix(self._state)
-
-    def split(self) -> "SplitMix64":
-        """Fork an independent child stream; the parent advances once."""
-        return SplitMix64(self.next_u64())
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) via rejection on 64-bit words."""

@@ -1,11 +1,15 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from iwa.cli import main
+from iwa.cli import _PARSER, main
 from iwa.groupring import GroupRingElem, phi, random_element
 from iwa.halflogs import MINUS, PLUS, HalfLogParams, log_trunc
-from iwa.plusminus import AdmissiblePair, compose, make_alpha
+from iwa.plusminus import AdmissiblePair, compose, decompose, make_alpha
 from iwa.rng import SplitMix64
 
 P, K, L, N = 3, 2, 3, 40
@@ -81,7 +85,7 @@ def test_admissible_exit_codes(tmp_path, pair_file, capsys):
     alpha = make_alpha(P, K, 1, N)
     params = HalfLogParams(p=P, k=K, n=L, sign=PLUS)
     one = GroupRingElem.one(P, L, N).to_quad(alpha.s)
-    zero = GroupRingElem.zeros(P, L, N, kind="quad", s=alpha.s)
+    zero = GroupRingElem.zeros(P, L, N).to_quad(alpha.s)
     bad = tmp_path / "bad_pair.json"
     bad.write_text(json.dumps(AdmissiblePair(one, zero, params, alpha).to_json()))
     assert main(["admissible", "--in", str(bad)]) == 1
@@ -165,8 +169,6 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     for p in ("1", "2", "9", "15"):
         assert main(["halflog", "--p", p, "--k", "2", "--n", "2"]) == 64
     assert main(["halflog-zeros", "--p", "3", "--n", "4", "--N", "0"]) == 64
-    for eps in ("3", "0", "-6"):
-        assert main(["halflog", "--p", "3", "--n", "2", "--eps", eps]) == 64
     # size guards refuse before anything is built (these ran for minutes)
     assert main(["halflog", "--p", "3", "--n", "3", "--k", "3", "--N", "1000000000"]) == 64
     assert main(["qpn", "dims", "--p", "3", "--n", "9"]) == 64
@@ -183,17 +185,114 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert main(["divide", "--in", str(big), "--m", "1"]) == 64
     big.write_text(json.dumps({"p": 3, "n": 10 ** 12, "ring": "base", "coeffs": []}))
     assert main(["eval", "--in", str(big)]) == 64
+    # a flag value the command reads, checked against the element (n = 3)
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(phi(P, L, 1, N).to_json()))
+    for chi in (["--d", "5"], ["--m", "4"], ["--m", "1", "--e", "3"], ["--r", "-1"]):
+        assert main(["eval", "--in", str(f), *chi]) == 64
+    assert main(["divide", "--in", str(f), "--m", "0"]) == 64
+
+
+@pytest.mark.parametrize("field,value", [("eps", 3), ("eps", 0), ("k", 1), ("k", 3)])
+def test_malformed_pair_fields_exit_64(tmp_path, field, value):
+    # eps a non-unit, k below 2, or an alpha^2 = -eps p^(k-1) that the
+    # elements' own alpha^2 = -3 does not match (k = 3)
+    pair, _, _ = make_pair()
+    for command, blob in (
+        ("decompose", pair.to_json()),
+        ("admissible", pair.to_json()),
+        ("compose", decompose(pair).to_json()),
+    ):
+        blob[field] = value
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(blob))
+        assert main([command, "--in", str(path)]) == 64, command
+
+
+def test_decomposition_with_components_of_two_levels_exits_64(tmp_path):
+    pair, _, alpha = make_pair()
+    blob = decompose(pair).to_json()
+    blob["Lminus"] = GroupRingElem.one(P, L - 1, N).to_quad(alpha.s).to_json()
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(blob))
+    assert main(["compose", "--in", str(path)]) == 64
+
+
+# the flags each command reads; qpn's action counts as one
+FLAGS = {
+    "decompose": {"--in", "--out", "--N", "--floor"},
+    "compose": {"--in", "--out", "--N"},
+    "admissible": {"--in", "--out", "--N"},
+    "divide": {"--in", "--out", "--m"},
+    "eval": {"--in", "--out", "--d", "--m", "--e", "--r"},
+    "halflog": {"--p", "--k", "--n", "--N", "--sign", "--out"},
+    "halflog-zeros": {"--p", "--k", "--n", "--N", "--sign", "--out"},
+    "qpn": {"action", "--p", "--n", "--out"},
+    "verify": {"--suite", "--seed", "--out"},
+}
+
+
+def test_each_command_accepts_only_the_flags_it_reads(tmp_path, pair_file):
+    (sub,) = [a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {
+            opt
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for opt in action.option_strings or [action.dest]
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert got == FLAGS
+    assert sum(map(len, got.values())) == 38
+
+    pm_file = tmp_path / "pm.json"
+    assert main(["decompose", "--in", str(pair_file), "--out", str(pm_file)]) == 0
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps((phi(P, L, 1, N) * phi(P, L, 2, N)).to_json()))
+    out = ["--out", str(tmp_path / "out.json")]
+    for argv, unread in (
+        (["decompose", "--in", str(pair_file)], ["--p", "3"]),
+        (["compose", "--in", str(pm_file)], ["--k", "2"]),
+        (["admissible", "--in", str(pair_file)], ["--seed", "1"]),
+        (["divide", "--in", str(f), "--m", "1"], ["--N", "40"]),
+        (["eval", "--in", str(f)], ["--p", "5"]),
+        (["halflog"], ["--in", "x"]),
+        (["halflog-zeros"], ["--eps", "1"]),
+        (["qpn", "dims"], ["--seed", "1"]),
+        (["verify", "--suite", "padic"], ["--N", "40"]),
+    ):
+        assert main(argv + unread) == 64, unread
+        assert main(argv + out) == 0, argv
+    assert main(["qpn", "verify"]) == 64
+    assert main(["halflog", "--sign", "+"]) == 64
+
+
+def test_tracer_installs_on_every_name_it_patches():
+    # the benchmark's tracer wraps library functions and methods by name;
+    # a deleted or renamed one makes install() raise
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{os.path.join(root, 'perfbench')!r}, {os.path.join(root, 'src')!r}]\n"
+        "import tracing\n"
+        "tracing.install(tracing.Tracer())\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def test_low_precision_input_rejected_before_slot_arithmetic(tmp_path):
+    # a shortfall of digits, refused before a thin pair could read as
+    # not decomposable (exit 2)
     f = phi(P, 2, 1, 6)  # N = 6 < n + 10
     path = tmp_path / "lowN.json"
     path.write_text(json.dumps(f.to_json()))
-    assert main(["divide", "--in", str(path), "--m", "1"]) == 64
+    assert main(["divide", "--in", str(path), "--m", "1"]) == 4
     # either member of a pair may be the thin one
     pair, params, alpha = make_pair()
     thin = random_element(P, L, L + 9, SplitMix64(3)).to_quad(alpha.s)
     for L1, L2 in ((thin, pair.L2), (pair.L1, thin)):
         path = tmp_path / "thin_pair.json"
         path.write_text(json.dumps(AdmissiblePair(L1, L2, params, alpha).to_json()))
-        assert main(["decompose", "--in", str(path)]) == 64
+        assert main(["decompose", "--in", str(path)]) == 4

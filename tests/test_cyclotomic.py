@@ -1,6 +1,5 @@
 """Cyclotomic coefficient vectors, characters, Gauss sums."""
 
-from fractions import Fraction
 from math import inf
 
 import pytest
@@ -135,9 +134,11 @@ def test_inverse_roundtrip():
         one = CyclotomicScalar.from_scalar(PadicScalar.one(p, 40), m)
         done = 0
         while done < 4:
-            x = from_ints(p, m, [rng.randrange(-20, 21) for _ in range(deg)])
-            if x.pi_valuation() != 0:
+            ints = [rng.randrange(-20, 21) for _ in range(deg)]
+            # x is a unit iff x mod (1 - zeta), the sum of its coefficients, is
+            if sum(ints) % p == 0:
                 continue  # stick to units so the check is clean
+            x = from_ints(p, m, ints)
             assert x * x.inv() == one
             done += 1
 
@@ -146,9 +147,7 @@ def test_inverse_of_one_minus_zeta():
     for p in (3, 5):
         one = PadicScalar.one(p, 40)
         x = CyclotomicScalar.from_scalar(one, 1) - CyclotomicScalar.root(p, 1, 1, 40)
-        assert x.pi_valuation() == Fraction(1, p - 1)
         y = x.inv()
-        assert y.pi_valuation() == Fraction(-1, p - 1)
         assert x * y == CyclotomicScalar.from_scalar(one, 1)
 
 
@@ -156,20 +155,6 @@ def test_inverse_of_zero_rejected():
     z = CyclotomicScalar.from_scalar(PadicScalar.zero(3, 20), 1)
     with pytest.raises(DivideByZero):
         z.inv()
-
-
-def test_pi_valuation_reference_points():
-    p = 3
-    scal = CyclotomicScalar.from_scalar(PadicScalar.from_int(p, p, 40), 1)
-    assert scal.pi_valuation() == 1
-    zeta = CyclotomicScalar.root(p, 1, 1, 40)
-    assert zeta.pi_valuation() == 0
-    z = CyclotomicScalar.from_scalar(PadicScalar.zero(p, 40), 2)
-    assert z.pi_valuation() == inf
-    # pi^2 at p=3: valuation 1 again (since phi = 2 here)
-    one = PadicScalar.one(p, 40)
-    pi = CyclotomicScalar.from_scalar(one, 1) - zeta
-    assert (pi * pi).pi_valuation() == 1
 
 
 # -- discrete logs -------------------------------------------------------------
@@ -367,7 +352,7 @@ def test_eval_char_twisted_multiplicative_mod_pn():
     chi = CharacterSpec(1, 2, 2, 1)
     assert eval_char(f + g, chi) == eval_char(f, chi) + eval_char(g, chi)
     diff = eval_char(f * g, chi) - eval_char(f, chi) * eval_char(g, chi)
-    assert diff.pi_valuation() >= n
+    assert all(c.is_zero() or c.v >= n for c in diff.coeffs)
 
 
 def test_eval_at_trivial_character_is_augmentation():
@@ -532,15 +517,3 @@ def test_quad_coefficients_supported():
     zq = CyclotomicScalar(p, 1, [QuadExtScalar.lift(c, s) for c in z.coeffs])
     y = x * zq + x
     assert (y - x * (zq + CyclotomicScalar.from_scalar(QuadExtScalar.one(p, N, s), 1))).is_zero()
-    with pytest.raises(InvalidParameter):
-        x.pi_valuation()
-
-
-def test_json_roundtrip():
-    x = CyclotomicScalar.root(5, 2, 7, 25) - CyclotomicScalar.from_scalar(
-        PadicScalar.from_int(4, 5, 25), 2
-    )
-    again = CyclotomicScalar.from_json(x.to_json())
-    assert again == x
-    for c1, c2 in zip(x.coeffs, again.coeffs):
-        assert c1.identical(c2)

@@ -130,6 +130,10 @@ def _flat(f):
     return [c for row in f.coeffs for c in row]
 
 
+def _flat_legs(f):
+    return [[c for row in leg for c in row] for leg in f.legs]
+
+
 def _check_product_against_oracle(f, g):
     p, R, C = f.p, f.rows, f.cols
     prod = f * g
@@ -137,13 +141,14 @@ def _check_product_against_oracle(f, g):
     if f.kind == BASE:
         _assert_matches_oracle(_flat(prod), _oracle_sums([(_flat(f), _flat(g))], p, R, C), p)
         return
-    fa, fb = _flat(f.part_a()), _flat(f.part_b())
-    ga, gb = _flat(g.part_a()), _flat(g.part_b())
+    fa, fb = _flat_legs(f)
+    ga, gb = _flat_legs(g)
     fsb = [f.s * b for b in fb]  # the alpha^2 BD term pairs s*b with d
     want_a = _oracle_sums([(fa, ga), (fsb, gb)], p, R, C)
     want_b = _oracle_sums([(fa, gb), (fb, ga)], p, R, C)
-    _assert_matches_oracle(_flat(prod.part_a()), want_a, p)
-    _assert_matches_oracle(_flat(prod.part_b()), want_b, p)
+    pa, pb = _flat_legs(prod)
+    _assert_matches_oracle(pa, want_a, p)
+    _assert_matches_oracle(pb, want_b, p)
 
 
 @pytest.mark.parametrize("p,n", [(3, 4), (3, 5), (5, 3), (7, 3)])
@@ -543,7 +548,8 @@ def test_quad_grid_operations():
     g = random_element(p, n, N, rng, kind="quad", s=s)
     assert (f + g) * f == f * f + g * f
     alpha = QuadExtScalar(PadicScalar.zero(p, N), PadicScalar.one(p, N), s)
-    assert f.part_a().to_quad(s) + f.part_b().scale(alpha) == f
+    a, b = (GroupRingElem(p, n, leg) for leg in f.legs)
+    assert a.to_quad(s) + b.scale(alpha) == f
     ctx = crt_context(p, n, N)
     back = ctx.reconstruct(ctx.decompose(f), s)
     assert back == f
@@ -560,7 +566,7 @@ def test_scale_promotes_base_to_quad():
     f = GroupRingElem.one(p, n, N)
     g = f.scale(alpha)
     assert g.kind == "quad"
-    assert g.part_b().coeffs[0][0] == PadicScalar.one(p, N)
+    assert g.legs[1][0][0] == PadicScalar.one(p, N)
 
 
 # -- quadratic elements against a per-coefficient reference ------------------------
@@ -574,7 +580,7 @@ def _pairs(f):
     """f as a grid of QuadExtScalar."""
     return [
         [QuadExtScalar(a, b, f.s) for a, b in zip(ra, rb)]
-        for ra, rb in zip(f.part_a().coeffs, f.part_b().coeffs)
+        for ra, rb in zip(*f.legs)
     ]
 
 
@@ -587,8 +593,9 @@ def _from_pairs(p, n, grid, s):
 def _assert_matches_reference(got, ref):
     """Equal in value, and no leg of any coefficient has fewer digits."""
     assert got == ref
-    for leg_got, leg_ref in ((got.part_a(), ref.part_a()), (got.part_b(), ref.part_b())):
-        for row_got, row_ref in zip(leg_got.coeffs, leg_ref.coeffs):
+    assert len(got.legs) == len(ref.legs) == 2
+    for leg_got, leg_ref in zip(got.legs, ref.legs):
+        for row_got, row_ref in zip(leg_got, leg_ref):
             for c_got, c_ref in zip(row_got, row_ref):
                 assert c_got.N >= c_ref.N
 

@@ -267,7 +267,7 @@ def test_quad_norm_is_conjugate_product():
     rng = SplitMix64(107)
     for _ in range(100):
         x = quad(rng.randrange(-40, 40), rng.randrange(-40, 40))
-        prod = x * x.conj()
+        prod = x * QuadExtScalar(x.a, -x.b, x.s)
         assert prod.b.is_zero()
         assert prod.a == x.norm()
 
