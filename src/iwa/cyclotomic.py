@@ -21,7 +21,7 @@ from .errors import (
     PrecisionExhausted,
     TrivialCharacter,
 )
-from .padic import PadicScalar, QuadExtScalar, check_odd_prime, int_valuation, teichmuller
+from .padic import INF, PadicScalar, QuadExtScalar, check_odd_prime, int_valuation, teichmuller
 
 
 @lru_cache(maxsize=None)
@@ -284,93 +284,63 @@ class CharacterSpec:
         return {"d": self.d, "m": self.m, "e": self.e, "r": self.r}
 
 
-def _relative(p: int, x: int, cap: int):
-    """Relative digits cap - v_p(x) of x known mod p^cap; None when it vanishes there."""
-    x %= p**cap
-    return cap - int_valuation(x, p) if x else None
+def _fold(p: int, rows, weights, ur: int, F, m: int, e: int, N: int) -> list:
+    """sum_{a, r'} c_{a,r'} w_a ur^r' zeta_{p^m}^(e r') in the reduced basis.
 
-
-def _zero_n(p: int, terms, zero_n_of) -> int:
-    """N field of the zero that adding capped terms in order leaves.
-
-    Terms are (x, cap, ...) with x known mod p^cap, and their sum vanishes
-    mod p^(least cap).  PadicScalar.add sets that field at the last
-    addition: the last term's N when the sum before it was zero, the
-    earlier sum's N when the last term was zero, and the smaller of the two
-    when both cancel.  A nonzero term's N is cap - v_p(x); a vanishing
-    term's comes from zero_n_of(term).
+    The value at zeta_{p^m} of the rows c_a with integer weights w_a, as
+    integers over one valuation V: the least valuation of a nonzero
+    coefficient or modulus exponent of a finite zero.
+    - A nonzero u p^v enters as u w_a p^(v-V), known mod p^(v + min(N_c, F)),
+      with F the precision of the weights and ur; INF when they are all 1.
+    - A finite zero 0 mod p^A enters as 0 known mod p^A; exact zeros are
+      skipped.
+    Column r' takes the factor ur^r' mod p^F and lands on zeta^(e r'); an
+    exponent q p^(m-1) + s with q = p - 1 is minus the sum over the lower
+    q, by the defining relation of Phi_{p^m}.  A slot is known mod p^A, A
+    the least modulus among the terms feeding it.  One that vanishes there
+    is 0 mod p^A and one that nothing feeds an exact zero, both with N as
+    their N field, which carries no information.
     """
-    *head, last = terms
-    n_last = _relative(p, last[0], last[1])
-    last_zero = n_last is None
-    if last_zero:
-        n_last = zero_n_of(last)
-    if not head:
-        return n_last
-    n_head = _relative(p, sum(t[0] for t in head), min(t[1] for t in head))
-    if n_head is None:
-        return n_last
-    return n_head if last_zero else min(n_head, n_last)
-
-
-def _leg_value(grid, p: int, F: int, weights, ur: int, m: int, e: int) -> list:
-    """The phi(p^m) slots of one base grid's value at a character.
-
-    Integers over the leg's least valuation V: a nonzero coefficient u p^v
-    at torsion index a enters as u w_a p^(v-V), known to F + v - V digits.
-    Column r' sums its terms and takes the factor ur^r'; the column lands
-    on zeta^(e r'), and an exponent q p^(m-1) + s with q = p - 1 is minus
-    the sum over the lower q, by the defining relation of Phi_{p^m}.  A
-    slot is known to the least digits of the columns that feed it.
-    Coefficients that are zero at any precision are skipped, and a slot
-    that no column feeds is an exact zero.
-    """
-    out = [PadicScalar.zero(p, grid[0][0].N)] * phi_degree(p, m)
-    vals = [c.v for row in grid for c in row if c.u]
+    out = [PadicScalar.zero(p, N)] * phi_degree(p, m)
+    vals = [c.v for row in rows for c in row if c.v != INF]
     if not vals:
         return out
     V = min(vals)
-
-    def entry(c, w):
-        # a nonzero coefficient with its weight: (integer over p^V, cap)
-        return c.u * w * p ** (c.v - V), F + c.v - V
-
     cols = {}
-    for w, row in zip(weights, grid):
+    for w, row in zip(weights, rows):
         for rp, c in enumerate(row):
+            if c.v == INF:
+                continue
             if c.u:
-                t, cap = entry(c, w)
-                x, a = cols.get(rp, (0, cap))
-                cols[rp] = (x + t, min(a, cap))
-    mod, pm, block = p**F, p**m, p ** max(m - 1, 0)
-    feeds = {}
-    for rp in sorted(cols):
-        x, cap = cols[rp]
-        x *= pow(ur, rp, mod)
+                t, cap = c.u * w * p ** (c.v - V), c.v + min(c.N, F) - V
+            else:
+                t, cap = 0, c.v - V
+            x, a = cols.get(rp, (0, cap))
+            cols[rp] = (x + t, min(a, cap))
+    pm, block = p**m, p ** max(m - 1, 0)
+    mod = p**F if ur != 1 else None
+    slots = {}
+
+    def feed(slot, x, cap):
+        y, a = slots.get(slot, (0, cap))
+        slots[slot] = (y + x, min(a, cap))
+
+    for rp, (x, cap) in cols.items():
+        if mod:
+            x *= pow(ur, rp, mod)
         q, s = divmod(e * rp % pm, block)
         if q < p - 1:
-            feeds.setdefault(q * block + s, []).append((x, cap, rp))
+            feed(q * block + s, x, cap)
         else:
             for i in range(p - 1):
-                feeds.setdefault(i * block + s, []).append((-x, cap, rp))
-
-    def column_zero_n(fed_term):
-        # a cancelled column's own terms are nonzero: no deeper rule
-        rp = fed_term[2]
-        terms = [entry(row[rp], w) for w, row in zip(weights, grid) if row[rp].u]
-        return _zero_n(p, terms, None)
-
-    for slot, fed in feeds.items():
-        x, cap, _ = fed[0]
-        for t, a, _ in fed[1:]:
-            x += t
-            cap = min(cap, a)
+                feed(i * block + s, -x, cap)
+    for slot, (x, cap) in slots.items():
         x %= p**cap
         if x:
             v = int_valuation(x, p)
             out[slot] = PadicScalar(p, V + v, x // p**v, cap - v)
         else:
-            out[slot] = PadicScalar(p, V + cap, 0, _zero_n(p, fed, column_zero_n))
+            out[slot] = PadicScalar.zero(p, N, V + cap)
     return out
 
 
@@ -382,9 +352,10 @@ def eval_char(f, chi: CharacterSpec) -> CyclotomicScalar:
     torsion part.  Ring homomorphism in f for each fixed chi.  A quadratic
     element is evaluated leg by leg, and its value pairs the legs' values.
 
-    The work is on integers mod p^N, N = f.N.  Each slot carries the
-    value, valuation and N field that summing the capped PadicScalar
-    products term by term would leave it (_leg_value, _zero_n).
+    The work is one integer fold per leg (_fold) with F = N = f.N: the
+    Teichmuller weights and (1+p)^(r r') are reduced mod p^N, so each
+    nonzero coefficient is known to at most N relative digits, and a
+    finite zero caps every slot its column feeds.
     """
     p, n, F = f.p, f.n, f.N
     chi.validate(p, n)
@@ -394,7 +365,7 @@ def eval_char(f, chi: CharacterSpec) -> CyclotomicScalar:
     weights = [pow(w, a * t % (p - 1), mod) for a in range(p - 1)]
     ur = pow(1 + p, chi.r, mod)
     m, e = chi.m, chi.e
-    values = [_leg_value(grid, p, F, weights, ur, m, e) for grid in f.legs]
+    values = [_fold(p, grid, weights, ur, F, m, e, F) for grid in f.legs]
     if len(values) == 1:
         return CyclotomicScalar(p, m, values[0])
     a, b = values

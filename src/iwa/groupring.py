@@ -24,7 +24,7 @@ coefficients may certify slightly more after cancellation-free paths.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicScalar, primitive_root
+from .cyclotomic import CyclotomicScalar, _fold, primitive_root
 from .errors import (
     BadIndex,
     BadLevel,
@@ -571,20 +571,18 @@ class CrtContext:
     def decompose(self, f: GroupRingElem):
         """Per-slot evaluations gamma -> zeta_{p^m}, one row per torsion index.
 
-        A quadratic element gives one such list per leg, as a pair.
+        Slot m of a row is its value at zeta_{p^m}, the integer fold of
+        eval_char with weight 1: every coefficient keeps its own digits, a
+        finite zero caps the slots it feeds, and a zero slot is 0 mod p^A
+        (exact when nothing feeds it) with N = f.N.  A quadratic element
+        gives one such list per leg, as a pair.
         """
-        zero = PadicScalar.zero(self.p, f.N)
-        legs = []
-        for grid in f.legs:
-            comps = []
-            for m in range(self.n):
-                comps.append([
-                    CyclotomicScalar.from_exponent_terms(
-                        self.p, m, [(r, c) for r, c in enumerate(row) if not c.is_zero()], zero
-                    )
-                    for row in grid
-                ])
-            legs.append(comps)
+        p, N = self.p, f.N
+
+        def slot(row, m):
+            return CyclotomicScalar(p, m, _fold(p, (row,), (1,), 1, INF, m, 1, N))
+
+        legs = [[[slot(row, m) for row in grid] for m in range(self.n)] for grid in f.legs]
         return legs[0] if len(legs) == 1 else tuple(legs)
 
     def _times_idem(self, terms, N):
@@ -719,17 +717,11 @@ def slot_is_zero(comps, m: int) -> bool:
     return all(row.is_zero() for row in comps[m])
 
 
-def random_element(p, n, N, rng, kind=BASE, s=None) -> GroupRingElem:
-    """Seeded random element with integral coefficients below p^6.
-
-    A quadratic element draws its two legs coefficient by coefficient.
-    """
+def random_element(p, n, N, rng) -> GroupRingElem:
+    """Seeded random base element with integral coefficients below p^6."""
     bound = p**6
-    count = 2 if kind == QUAD else 1
-    draws = [
-        [[PadicScalar.from_int(rng.randbelow(bound), p, N) for _ in range(count)]
-         for _ in range(p ** (n - 1))]
+    grid = [
+        [PadicScalar.from_int(rng.randbelow(bound), p, N) for _ in range(p ** (n - 1))]
         for _ in range(p - 1)
     ]
-    legs = ([[c[i] for c in row] for row in draws] for i in range(count))
-    return GroupRingElem(p, n, *legs, s=s)
+    return GroupRingElem(p, n, grid)

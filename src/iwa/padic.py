@@ -265,16 +265,22 @@ class PadicScalar:
 def teichmuller(a: int, p: int, N: int) -> PadicScalar:
     """The (p-1)-st root of unity congruent to a mod p.
 
-    Computed as a^(p^(N-1)) mod p^N: a is that root times a one-unit, the
-    one-unit raised to p^(N-1) is 1 mod p^N, and the root is fixed because
-    p^(N-1) = 1 mod p-1.
+    Newton's iteration on X^(p-1) - 1 from a: the derivative (p-1) X^(p-2)
+    is a unit, so each step doubles the digits, and N digits take about
+    log2(N) steps.
     """
     check_odd_prime(p)
     if a % p == 0:
         raise InvalidResidue(f"{a} is divisible by {p}")
     if N < 1:
         raise InvalidParameter("N must be >= 1")
-    return PadicScalar(p, 0, pow(a, p ** (N - 1), p**N), N)
+    x, k = a % p, 1
+    while k < N:
+        k = min(2 * k, N)
+        mod = p**k
+        y = pow(x, p - 1, mod)
+        x = (x - (y - 1) * x * pow((p - 1) * y, -1, mod)) % mod
+    return PadicScalar(p, 0, x, N)
 
 
 def val_growth_constant(x: PadicScalar) -> int:

@@ -266,12 +266,15 @@ def decompose(pair: AdmissiblePair, floor: int = 0) -> PMDecomposition:
 # -- interpolation-shape admissibility -------------------------------------------
 
 
+# conductor index from which the interpolation identity is enforced
+S_MIN = 2
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Per-character comparison of alpha^s eval(L1) against (-alpha)^s eval(L2)."""
 
     rows: tuple
-    s_min: int
 
     @property
     def passed(self) -> bool:
@@ -280,17 +283,17 @@ class AdmissibilityReport:
     def to_json(self) -> dict:
         return {
             "passed": self.passed,
-            "s_min": self.s_min,
+            "s_min": S_MIN,
             "rows": [dict(r) for r in self.rows],
         }
 
 
-def check_admissible(pair: AdmissiblePair, s_min: int = 2) -> AdmissibilityReport:
+def check_admissible(pair: AdmissiblePair) -> AdmissibilityReport:
     """Interpolation-shape identity at every character of conductor index s.
 
     Characters with gamma-order p^(s-1) carry the constraint
     alpha^s eval(L1) = (-alpha)^s eval(L2) for each twist 0 <= r <= k-2.
-    Rows with s < s_min are reported but never enforced: at s = 1 the
+    Rows with s < S_MIN are reported but never enforced: at s = 1 the
     truncated plus-log supplies no vanishing, so the identity has no
     finite-level reason to hold.
     """
@@ -316,7 +319,7 @@ def check_admissible(pair: AdmissiblePair, s_min: int = 2) -> AdmissibilityRepor
                             "e": e,
                             "r": r,
                             "ok": (lhs - rhs).is_zero(),
-                            "enforced": s >= s_min,
+                            "enforced": s >= S_MIN,
                         }
                     )
-    return AdmissibilityReport(tuple(rows), s_min)
+    return AdmissibilityReport(tuple(rows))

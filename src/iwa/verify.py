@@ -72,7 +72,8 @@ def _suite(name, checks, **extra):
 # -- divisibility / CRT / units ---------------------------------------------------
 
 
-def suite_lin(seed: int = DEFAULT_SEED, N: int = 40) -> dict:
+def suite_lin(seed: int = DEFAULT_SEED) -> dict:
+    N = 40
     combos = [
         (p, n, m)
         for p in (3, 5)
@@ -332,7 +333,8 @@ def suite_vanish(seed: int = DEFAULT_SEED) -> dict:
 # -- decomposition round trip --------------------------------------------------------
 
 
-def suite_roundtrip(seed: int = DEFAULT_SEED, N: int = 40) -> dict:
+def suite_roundtrip(seed: int = DEFAULT_SEED) -> dict:
+    N = 40
     rng = SplitMix64(seed)
     coset_ok = 0
     recompose_ok = 0
@@ -383,7 +385,8 @@ def suite_roundtrip(seed: int = DEFAULT_SEED, N: int = 40) -> dict:
 # -- admissibility ------------------------------------------------------------------
 
 
-def suite_admissible(seed: int = DEFAULT_SEED, N: int = 40) -> dict:
+def suite_admissible(seed: int = DEFAULT_SEED) -> dict:
+    N = 40
     rng = SplitMix64(seed)
     pair_ok = 0
     pair_total = 0
@@ -430,7 +433,8 @@ def suite_admissible(seed: int = DEFAULT_SEED, N: int = 40) -> dict:
 # -- Gauss sums ---------------------------------------------------------------------
 
 
-def suite_gauss(seed: int = DEFAULT_SEED, N: int = 24) -> dict:
+def suite_gauss(seed: int = DEFAULT_SEED) -> dict:
+    N = 24
     ok = 0
     total = 0
     for p in (3, 5):

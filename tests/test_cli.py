@@ -112,6 +112,19 @@ def test_eval_of_phi_at_trivial_character_is_p(tmp_path, capsys):
     assert c["v"] == 1 and c["u"] == "1"
 
 
+def test_eval_prints_the_cap_of_a_finite_zero(tmp_path, capsys):
+    # 1 + O(3^2) at the trivial character is 1 known to 2 digits
+    one = {"p": 3, "N": 40, "v": 0, "u": "1"}
+    zero2 = {"p": 3, "N": 40, "v": 2, "u": "0"}
+    zero = {"p": 3, "N": 40, "v": "inf", "u": "0"}
+    f = {"p": 3, "n": 2, "ring": "base", "coeffs": [[one, zero2, zero], [zero, zero, zero]]}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f))
+    assert main(["eval", "--in", str(path)]) == 0
+    (c,) = json.loads(capsys.readouterr().out)["coeffs"]
+    assert c == {"p": 3, "N": 2, "v": 0, "u": "1"}
+
+
 def test_halflog_matches_library(capsys):
     assert main(
         ["halflog", "--p", "3", "--k", "2", "--n", "3", "--N", "20", "--sign", "minus"]

@@ -369,7 +369,10 @@ def test_eval_at_trivial_character_is_augmentation():
 
 
 def _reference_eval_char(f, chi):
-    """eval_char as a sum of capped PadicScalar products, term by term."""
+    """eval_char as a sum of capped PadicScalar products, term by term.
+
+    Only exact zeros are skipped: a finite zero caps what it enters.
+    """
     p, n, N = f.p, f.n, f.N
     chi.validate(p, n)
     g = primitive_root(p)
@@ -387,7 +390,7 @@ def _reference_eval_char(f, chi):
             acc = None
             for a in range(p - 1):
                 c = grid[a][rp]
-                if c.is_zero():
+                if c.v == inf:
                     continue
                 t = c * weights[a]
                 acc = t if acc is None else acc + t
@@ -404,12 +407,16 @@ def _reference_eval_char(f, chi):
 
 
 def _assert_matches_reference(f, chi):
+    """Nonzero slots identical to the scalar sum; zero slots the same 0 mod p^A."""
     got, want = eval_char(f, chi), _reference_eval_char(f, chi)
     assert (got.p, got.m, len(got.coeffs)) == (want.p, want.m, len(want.coeffs))
     for x, y in zip(got.coeffs, want.coeffs):
         pairs = [(x.a, y.a), (x.b, y.b)] if isinstance(y, QuadExtScalar) else [(x, y)]
         for s, t in pairs:
-            assert s.identical(t), (chi, s, t)
+            if t.is_zero():
+                assert s.is_zero() and s.v == t.v, (chi, s, t)
+            else:
+                assert s.identical(t), (chi, s, t)
     return got
 
 
@@ -459,13 +466,13 @@ def test_eval_char_matches_the_scalar_sum_on_mixed_grids():
 
 def test_eval_char_matches_the_scalar_sum_on_cancelling_grids():
     # +-1, +-9, +-27 and their sums cancel at p = 3, where the torsion
-    # weights are +-1; zeros must keep the N field their last addition gives
+    # weights are +-1; a zero slot is 0 mod p^A with N = f.N
     from iwa.groupring import GroupRingElem
 
     p = 3
     values = [0, 1, -1, 9, -9, 27, -27, 10, -10, 28, -28]
     rng = SplitMix64(2718)
-    short_zeros = 0
+    finite_zeros = 0
     for n in (1, 2, 3, 4):
         for i in range(60):
             N = (2, 3, 4, 6)[i % 4]
@@ -477,17 +484,31 @@ def test_eval_char_matches_the_scalar_sum_on_cancelling_grids():
             f = GroupRingElem(p, n, rows)
             for chi in _sampled_characters(rng, p, n, per_m=2) + [CharacterSpec(0, 0, 1, 0)]:
                 got = _assert_matches_reference(f, chi)
-                short_zeros += sum(
-                    1 for c in got.coeffs if c.is_zero() and c.v != inf and c.N < f.N
-                )
-    assert short_zeros > 0
-    # columns 0, 54 = 2 * 27 and 0: the sum before the last column is known
-    # mod 3^4 with N = 1, and the last column cancels mod 3^3, so the slot is
-    # 0 mod 3^3 with the earlier sum's N
+                zeros = [c for c in got.coeffs if c.is_zero()]
+                assert all(c.N == f.N for c in zeros)
+                finite_zeros += sum(1 for c in zeros if c.v != inf)
+    assert finite_zeros > 0
+    # columns 0, 54 = 2 * 27 and 0, known mod 3^4, 3^6 and 3^3: the slot
+    # is 0 mod 3^3
     rows = ([-3, 27, 10], [3, 27, -10])
     f = GroupRingElem(p, 2, [[PadicScalar.from_int(x, p, 3) for x in row] for row in rows])
     got = _assert_matches_reference(f, CharacterSpec(0, 0, 1, 0))
-    assert got.coeffs[0].identical(PadicScalar.zero(p, 1, 3))
+    assert got.coeffs[0].identical(PadicScalar.zero(p, 3, 3))
+
+
+def test_eval_char_finite_zero_caps_the_slots_it_feeds():
+    # 1 + O(3^2) + 0 is 1 known mod 3^2, not 1 to the element's 40 digits
+    from iwa.groupring import GroupRingElem
+
+    p, N = 3, 40
+    one, z2, z = PadicScalar.one(p, N), PadicScalar.zero(p, N, 2), PadicScalar.zero(p, N)
+    f = GroupRingElem(p, 2, [[one, z2, z], [z, z, z]])
+    got = eval_char(f, CharacterSpec(0, 0, 1, 0))
+    assert got.coeffs[0].identical(PadicScalar(p, 0, 1, 2))
+    # at zeta_3 column 1 feeds slot 1 alone, column 0 slot 0 alone
+    got = eval_char(f, CharacterSpec(0, 1, 1, 0))
+    assert got.coeffs[0].identical(PadicScalar.one(p, N))
+    assert got.coeffs[1].identical(PadicScalar.zero(p, N, 2))
 
 
 @pytest.mark.parametrize("p, n", [(3, 3), (3, 4), (5, 3)])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from iwa import groupring
-from iwa.cyclotomic import CharacterSpec, CyclotomicScalar, eval_char, primitive_root
+from iwa.cyclotomic import CharacterSpec, CyclotomicScalar, eval_char, phi_degree, primitive_root
 from iwa.errors import (
     BadLevel,
     MalformedInput,
@@ -29,7 +29,7 @@ from iwa.groupring import (
     twist_gamma,
 )
 from iwa.halflogs import saturated_twist_unit
-from iwa.padic import PadicScalar, QuadExtScalar, int_valuation, teichmuller
+from iwa.padic import INF, PadicScalar, QuadExtScalar, int_valuation, teichmuller
 from iwa.plusminus import make_alpha
 from iwa.rng import SplitMix64
 
@@ -324,6 +324,61 @@ def test_crt_roundtrip_random():
             assert all(c.N >= 30 for row in back.coeffs for c in row if c.u)
 
 
+def _ref_slots(row, p, m):
+    """A row's value at zeta_{p^m} as PadicScalar sums that start from no zero.
+
+    Only exact zeros are skipped; None marks a slot that nothing feeds.
+    """
+    pm, block = p**m, p ** max(m - 1, 0)
+    slots = [None] * phi_degree(p, m)
+
+    def add(i, c):
+        slots[i] = c if slots[i] is None else slots[i] + c
+
+    for r, c in enumerate(row):
+        if c.v == INF:
+            continue
+        q, s = divmod(r % pm, block)
+        if q < p - 1:
+            add(q * block + s, c)
+        else:
+            for i in range(p - 1):
+                add(i * block + s, -c)
+    return slots
+
+
+def test_decompose_keeps_each_coefficients_digits():
+    # h's coefficients carry 30..39 digits, so the product's caps vary; the
+    # slot sum that starts from an exact zero at f.N cut the first term of
+    # each slot to f.N digits, the fold keeps them
+    rng = SplitMix64(16)
+    p, n = 3, 4
+    C = p ** (n - 1)
+    h = GroupRingElem(p, n, [
+        [PadicScalar.from_int(rng.randbelow(p**6), p, 30 + rng.randbelow(10)) for _ in range(C)]
+        for _ in range(p - 1)
+    ])
+    f = h * random_element(p, n, 40, rng)
+    comps = crt_context(p, n, f.N).decompose(f)
+    zero = PadicScalar.zero(p, f.N)
+    more = 0
+    for m in range(n):
+        for row, got in zip(f.coeffs, comps[m]):
+            old = CyclotomicScalar.from_exponent_terms(
+                p, m, [(r, c) for r, c in enumerate(row) if not c.is_zero()], zero
+            )
+            for x, want, before in zip(got.coeffs, _ref_slots(row, p, m), old.coeffs):
+                if want is None:
+                    assert x.identical(zero)
+                elif want.is_zero():
+                    assert x.is_zero() and x.v == want.v and x.N == f.N
+                else:
+                    assert x.identical(want)
+                assert x == before and x.abs_precision() >= before.abs_precision()
+                more += x.abs_precision() > before.abs_precision()
+    assert more > 0
+
+
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 4), (3, 5), (5, 3), (7, 3)])
 def test_crt_idempotents_closed_form(p, n):
     # e_m is what reconstruct makes of 1 in slot m (trivial torsion row)
@@ -540,12 +595,18 @@ def test_invert_unit_rejects_phi():
 # -- quadratic coefficients -------------------------------------------------------
 
 
+def _random_quad(p, n, N, rng, s):
+    """A + alpha B from two base draws."""
+    A, B = (random_element(p, n, N, rng).coeffs for _ in range(2))
+    return GroupRingElem(p, n, A, B, s=s)
+
+
 def test_quad_grid_operations():
     p, n, N = 3, 2, 30
     s = PadicScalar.from_int(-3, p, N)
     rng = SplitMix64(19)
-    f = random_element(p, n, N, rng, kind="quad", s=s)
-    g = random_element(p, n, N, rng, kind="quad", s=s)
+    f = _random_quad(p, n, N, rng, s)
+    g = _random_quad(p, n, N, rng, s)
     assert (f + g) * f == f * f + g * f
     alpha = QuadExtScalar(PadicScalar.zero(p, N), PadicScalar.one(p, N), s)
     a, b = (GroupRingElem(p, n, leg) for leg in f.legs)
@@ -709,7 +770,7 @@ def test_json_roundtrip_bit_identical():
     again = GroupRingElem.from_json(f.to_json())
     assert again.identical(f)
     s = PadicScalar.from_int(-3, 3, 30)
-    q = random_element(3, 2, 30, rng, kind="quad", s=s)
+    q = _random_quad(3, 2, 30, rng, s)
     assert GroupRingElem.from_json(q.to_json()).identical(q)
     with pytest.raises(MalformedInput):
         GroupRingElem.from_json({"p": 3, "n": 2, "ring": BASE, "coeffs": [[]]})

@@ -206,7 +206,7 @@ def test_teichmuller_values_and_laws():
 
 def test_teichmuller_is_the_fixed_point_of_the_p_th_power():
     # the fixed point of x -> x^p mod p^N reached from a, for every unit
-    # residue; one modular power must give the same digits
+    # residue; the Newton lift must give the same digits
     for p in (3, 5, 7, 11, 13):
         for N in range(1, 61):
             mod = p**N
@@ -215,6 +215,11 @@ def test_teichmuller_is_the_fixed_point_of_the_p_th_power():
                 while pow(x, p, mod) != x:
                     x = pow(x, p, mod)
                 assert teichmuller(a, p, N).identical(PadicScalar(p, 0, x, N))
+    # far beyond: a^(p^(N-1)) mod p^N is the root, since p^(N-1) = 1 mod p-1
+    N = 1000
+    for p, residues in ((3, range(1, 3)), (5, range(1, 5)), (7, range(1, 7)), (31, (2, 30))):
+        for a in residues:
+            assert teichmuller(a, p, N).u == pow(a, p ** (N - 1), p**N)
 
 
 def test_valuation_growth_frozen_cases():
